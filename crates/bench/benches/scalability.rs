@@ -10,10 +10,9 @@
 //! the node count by four and must leave solve time flat.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use edmac_core::{AppRequirements, Scenario, TradeoffAnalysis};
+use edmac_core::{AppRequirements, TradeoffAnalysis};
 use edmac_mac::{Deployment, Xmac};
 use edmac_net::RingModel;
-use edmac_sim::{SimConfig, WakeMode, XmacSim};
 use edmac_units::{Joules, Seconds};
 use std::hint::black_box;
 
@@ -61,41 +60,5 @@ fn density_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-fn shard_scaling(c: &mut Criterion) {
-    // The packet-level engine's own scaling axis: the same strobe-heavy
-    // X-MAC disk through 1, 2, and 4 shards. On a single-core runner
-    // the curve is flat-to-worse (coordination overhead is the thing
-    // being guarded); on multi-core hardware it bends down.
-    let mut group = c.benchmark_group("sim_vs_shards");
-    group.sample_size(10);
-    let scenario = Scenario::uniform_disk(130, 3.0, Seconds::new(80.0));
-    let xmac = XmacSim::new(Seconds::from_millis(100.0));
-    let config = SimConfig {
-        duration: Seconds::new(60.0),
-        sample_period: Seconds::new(20.0),
-        warmup: Seconds::new(10.0),
-        seed: 7,
-        scheduling: WakeMode::Coarse,
-    };
-    for shards in [1usize, 2, 4] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("disk_n130_s{shards}")),
-            &shards,
-            |b, &shards| {
-                b.iter(|| {
-                    let report = scenario
-                        .simulation(&xmac, config)
-                        .expect("preset disk builds")
-                        .with_shards(black_box(shards))
-                        .run();
-                    assert!(report.delivery_ratio() > 0.4);
-                    report
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(scalability, depth_scaling, density_scaling, shard_scaling);
+criterion_group!(scalability, depth_scaling, density_scaling);
 criterion_main!(scalability);

@@ -38,33 +38,6 @@ fn protocols(c: &mut Criterion) {
     group.finish();
 }
 
-fn protocols_sharded(c: &mut Criterion) {
-    // Same trio through the conservative-parallel path at 4 shards. At
-    // validation scale the point is a guard, not a speedup: the sharded
-    // engine's coordination overhead on a 65-node ring must stay
-    // bounded (and bit-identity is covered by the equivalence matrix).
-    let mut group = c.benchmark_group("simulate_60s_65nodes_shards4");
-    group.sample_size(10);
-    let cases: [Box<dyn SimProtocol>; 3] = [
-        Box::new(XmacSim::new(Seconds::from_millis(100.0))),
-        Box::new(DmacSim::new(Seconds::new(0.5))),
-        Box::new(LmacSim::new(Seconds::from_millis(10.0))),
-    ];
-    for protocol in &cases {
-        group.bench_function(protocol.name(), |b| {
-            b.iter(|| {
-                let sim = Simulation::ring(4, 4, black_box(protocol.as_ref()), short_config(7))
-                    .expect("constructible ring")
-                    .with_shards(4);
-                let report = sim.run();
-                assert!(report.delivery_ratio() > 0.5);
-                report
-            })
-        });
-    }
-    group.finish();
-}
-
 fn build_only(c: &mut Criterion) {
     // Topology + tree + coloring construction cost, isolated from the
     // event loop.
@@ -83,5 +56,5 @@ fn build_only(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(simulator, protocols, protocols_sharded, build_only);
+criterion_group!(simulator, protocols, build_only);
 criterion_main!(simulator);

@@ -18,9 +18,6 @@
 //! * `--smoke` — the pinned 12-cell grid CI diffs against goldens;
 //! * `--out DIR` — artifact directory (default `artifacts/`);
 //! * `--jobs N` — worker threads (default: all cores);
-//! * `--shards N` — shard count for each validation simulation
-//!   (default 1 = sequential; any value produces byte-identical
-//!   artifacts — the sharded engine's determinism contract);
 //! * `--validate-every K` — packet-level validation stride (0 = off);
 //! * `--preset NAME` — restrict the grid to one preset family
 //!   (`ring`, `disk`, `hotspot`, `burst`);
@@ -36,7 +33,10 @@
 //! * `--resume MANIFEST` — reload a run's `manifest.json`, verify its
 //!   content keys still match this build, and complete the pending
 //!   items (done items come back as cache hits); only `--jobs`,
-//!   `--shards`, `--out`, and `--max-items` may accompany it.
+//!   `--out`, and `--max-items` may accompany it.
+//!
+//! Every subcommand refuses flags it does not know (`unknown flag
+//! '--x'`, exit status 2) instead of silently ignoring them.
 //!
 //! Subcommand `cache-stats` audits a cache directory against the
 //! configured grid without solving anything: hit/miss counts for the
@@ -60,7 +60,7 @@
 //! response finds an equilibrium, and the artifacts record its price
 //! of anarchy against the joint planner. Flags: `--smoke` (3-scale
 //! strategy space, 9 cells), `--separation X`, `--seed N`,
-//! `--shards N`, `--protocols a,b` (one per network), `--out DIR`.
+//! `--protocols a,b` (one per network), `--out DIR`.
 //!
 //! Subcommand `query` replays the configured grid against a running
 //! server — the scripting/CI client. Grid flags (`--smoke`,
@@ -70,7 +70,7 @@
 //! against a cache directory; `--stats` appends the server's stats
 //! document after the replay.
 
-use edmac_bench::{preset_filter, protocols_filter};
+use edmac_bench::{check_flags, preset_filter, protocols_filter};
 use edmac_proto::{ProtocolRegistry, PAPER_TRIO};
 use edmac_serve::{
     install_drain_flag, Client, Request, Response, ServeConfig, Server, SolveRequest, StatsReport,
@@ -107,6 +107,10 @@ fn parse_usize(args: &[String], flag: &str) -> Result<Option<usize>, String> {
     }
 }
 
+/// The grid-shaping flags [`config_from_flags`] reads that take a value
+/// (`--smoke` is the one switch).
+const GRID_FLAGS: [&str; 4] = ["--validate-every", "--preset", "--protocols", "--cache-dir"];
+
 /// Builds a [`StudyConfig`] from the CLI flags (everything except
 /// `--resume`, which snapshots its config from the manifest instead).
 fn config_from_flags(args: &[String]) -> Result<StudyConfig, String> {
@@ -129,23 +133,8 @@ fn config_from_flags(args: &[String]) -> Result<StudyConfig, String> {
     Ok(config)
 }
 
-/// Execution knobs that are legitimate on any invocation, including
-/// `--resume`: both are proven byte-invariant, so they never conflict
-/// with a manifest's pinned config.
-fn apply_execution_flags(args: &[String], config: &mut StudyConfig) -> Result<(), String> {
-    if let Some(jobs) = parse_usize(args, "--jobs")? {
-        config.threads = jobs;
-    }
-    if let Some(shards) = parse_usize(args, "--shards")? {
-        if shards == 0 {
-            return Err("--shards needs a positive integer".into());
-        }
-        config.shards = shards;
-    }
-    Ok(())
-}
-
 fn run_cache_stats(args: &[String]) -> Result<(), String> {
+    check_flags(args, &GRID_FLAGS, &["--smoke", "--json"])?;
     let config = config_from_flags(args)?;
     let dir = config
         .cache_dir
@@ -172,6 +161,19 @@ fn run_cache_stats(args: &[String]) -> Result<(), String> {
 }
 
 fn run_serve(args: &[String]) -> Result<(), String> {
+    check_flags(
+        args,
+        &[
+            "--addr",
+            "--cache-dir",
+            "--workers",
+            "--hot-cap",
+            "--queue-cap",
+            "--deadline-ms",
+            "--addr-file",
+        ],
+        &["--quiet"],
+    )?;
     let mut config = ServeConfig {
         log: !args.iter().any(|a| a == "--quiet"),
         ..ServeConfig::default()
@@ -239,6 +241,11 @@ fn grid_requests(config: &StudyConfig) -> Result<Vec<SolveRequest>, String> {
 }
 
 fn run_query(args: &[String]) -> Result<(), String> {
+    let valued: Vec<&str> = GRID_FLAGS
+        .into_iter()
+        .chain(["--addr", "--addr-file", "--out"])
+        .collect();
+    check_flags(args, &valued, &["--smoke", "--stats"])?;
     let addr = match flag_value(args, "--addr")? {
         Some(addr) => addr,
         None => {
@@ -317,6 +324,11 @@ fn profile_label(profile: &[usize]) -> String {
 }
 
 fn run_coexistence(args: &[String]) -> Result<(), String> {
+    check_flags(
+        args,
+        &["--separation", "--seed", "--protocols", "--out"],
+        &["--smoke"],
+    )?;
     let mut cfg = if args.iter().any(|a| a == "--smoke") {
         CoexistenceConfig::smoke()
     } else {
@@ -329,12 +341,6 @@ fn run_coexistence(args: &[String]) -> Result<(), String> {
     }
     if let Some(seed) = parse_usize(args, "--seed")? {
         cfg.seed = seed as u64;
-    }
-    if let Some(shards) = parse_usize(args, "--shards")? {
-        if shards == 0 {
-            return Err("--shards needs a positive integer".into());
-        }
-        cfg.shards = shards;
     }
     let registry = ProtocolRegistry::builtin();
     let default_panel: Vec<String> = cfg.protocols.clone();
@@ -455,15 +461,18 @@ fn print_report(config: &StudyConfig, report: &StudyRunReport, out_dir: &std::pa
 }
 
 fn run() -> Result<(), String> {
-    let args: Vec<String> = std::env::args().collect();
-    match args.get(1).map(String::as_str) {
-        Some("cache-stats") => return run_cache_stats(&args[2..]),
-        Some("coexistence") => return run_coexistence(&args[2..]),
-        Some("serve") => return run_serve(&args[2..]),
-        Some("query") => return run_query(&args[2..]),
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.first().map(String::as_str) {
+        Some("cache-stats") => return run_cache_stats(&args[1..]),
+        Some("coexistence") => return run_coexistence(&args[1..]),
+        Some("serve") => return run_serve(&args[1..]),
+        Some("query") => return run_query(&args[1..]),
         _ => {}
     }
 
+    // Execution knobs, legitimate on any invocation including
+    // `--resume`: none of them changes an artifact byte.
+    const EXECUTION_FLAGS: [&str; 3] = ["--jobs", "--out", "--max-items"];
     let (mut config, out_dir, manifest_path) = match flag_value(&args, "--resume")? {
         Some(path) => {
             // The manifest *is* the config: grid, panel, stride, cache
@@ -482,6 +491,8 @@ fn run() -> Result<(), String> {
                     ));
                 }
             }
+            let valued: Vec<&str> = EXECUTION_FLAGS.into_iter().chain(["--resume"]).collect();
+            check_flags(&args, &valued, &[])?;
             let path = PathBuf::from(path);
             let manifest = Manifest::load(&path).map_err(|e| format!("--resume: {e}"))?;
             let out_dir = match flag_value(&args, "--out")? {
@@ -494,6 +505,8 @@ fn run() -> Result<(), String> {
             (manifest.config, out_dir, path)
         }
         None => {
+            let valued: Vec<&str> = GRID_FLAGS.into_iter().chain(EXECUTION_FLAGS).collect();
+            check_flags(&args, &valued, &["--smoke"])?;
             let config = config_from_flags(&args)?;
             let out_dir =
                 PathBuf::from(flag_value(&args, "--out")?.unwrap_or_else(|| "artifacts".into()));
@@ -501,7 +514,9 @@ fn run() -> Result<(), String> {
             (config, out_dir, manifest_path)
         }
     };
-    apply_execution_flags(&args, &mut config)?;
+    if let Some(jobs) = parse_usize(&args, "--jobs")? {
+        config.threads = jobs;
+    }
     let options = RunOptions {
         manifest: Some(manifest_path),
         max_items: parse_usize(&args, "--max-items")?,

@@ -24,6 +24,32 @@ use edmac_sim::{SimConfig, SimProtocol, SimReport, Simulation, WakeMode};
 use edmac_units::Seconds;
 use std::sync::Arc;
 
+/// Refuses any argument outside a command's allow-list: `valued`
+/// flags consume the argument after them, `switches` stand alone. A
+/// silently ignored flag (a typo, or one a later version dropped) is
+/// worse than a refusal.
+///
+/// # Errors
+///
+/// Returns `unknown flag '--x'` for the first unlisted flag, or
+/// `unexpected argument 'x'` for a stray positional argument.
+pub fn check_flags(args: &[String], valued: &[&str], switches: &[&str]) -> Result<(), String> {
+    let mut rest = args.iter().map(String::as_str);
+    while let Some(arg) = rest.next() {
+        if valued.contains(&arg) {
+            // A missing value is reported by the flag's own parser.
+            rest.next();
+        } else if !switches.contains(&arg) {
+            return Err(if arg.starts_with('-') {
+                format!("unknown flag '{arg}'")
+            } else {
+                format!("unexpected argument '{arg}'")
+            });
+        }
+    }
+    Ok(())
+}
+
 /// Parses an optional `--preset <name>` filter from CLI arguments —
 /// the one scenario-preset parser shared by the `scenarios` and
 /// `study` binaries.
@@ -252,6 +278,27 @@ mod tests {
         let scp = edmac_mac::Scp::default();
         let cfg = sim_protocol_at(&scp, &[0.1], &validation_env());
         assert_eq!(cfg.name(), "SCP-MAC");
+    }
+
+    #[test]
+    fn check_flags_accepts_the_allow_list_and_refuses_the_rest() {
+        let args = |s: &[&str]| s.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        let valued = ["--out", "--jobs"];
+        let switches = ["--smoke"];
+        let check = |s: &[&str]| check_flags(&args(s), &valued, &switches);
+        assert_eq!(check(&[]), Ok(()));
+        assert_eq!(check(&["--smoke", "--out", "x", "--jobs", "2"]), Ok(()));
+        // A flag's value is never mistaken for a flag of its own.
+        assert_eq!(check(&["--out", "--smoke"]), Ok(()));
+        assert_eq!(
+            check(&["--smoke", "--bogus", "2"]),
+            Err("unknown flag '--bogus'".into())
+        );
+        assert_eq!(check(&["--smok"]), Err("unknown flag '--smok'".into()));
+        assert_eq!(
+            check(&["--smoke", "extra"]),
+            Err("unexpected argument 'extra'".into())
+        );
     }
 
     #[test]

@@ -157,8 +157,8 @@ impl InterferenceTally {
 /// `receivers[u]` lists every node that registers energy from `u`'s
 /// transmissions (received power at or above the model's interference
 /// floor), in ascending receiver order, with the linear received power
-/// in mW. This is the engine's *air* adjacency — the superset the
-/// sharded scheduler must stay conservative over. The *decode* graph
+/// in mW. This is the engine's *air* adjacency, over which every
+/// transmission fans out its air events. The *decode* graph
 /// is the symmetric subgraph where **both** directions clear the
 /// sensitivity threshold; routing trees are built over it.
 #[derive(Debug, Clone, Default)]
@@ -305,7 +305,7 @@ impl ChannelModel for UnitDisk {
 ///   [`interference_floor_dbm`](SinrChannel::interference_floor_dbm)
 ///   in a direction contribute interference power at that receiver
 ///   (this is the engine's air adjacency, a superset of the decode
-///   graph — the sharded scheduler stays conservative over it);
+///   graph);
 /// * anything weaker is ignored entirely.
 ///
 /// The defaults place the σ = 0 sensitivity contour exactly at the

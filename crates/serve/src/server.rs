@@ -15,8 +15,8 @@ use crate::request::{Request, Response, SolveRequest, Tier};
 use edmac_proto::ProtocolRegistry;
 use edmac_study::{item_key, render_entry, solve_cell, validate_cell, CellCache, SchemaVersions};
 use std::collections::VecDeque;
-use std::io::{self, BufRead as _, BufReader, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead as _, BufReader, Read as _, Write as _};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -61,6 +61,12 @@ impl Default for ServeConfig {
 /// How often blocked loops re-check the stop flag. Short enough that a
 /// drain completes promptly, long enough to stay off the profiler.
 const POLL: Duration = Duration::from_millis(25);
+
+/// The longest request line a connection may send, newline excluded.
+/// Real requests are a few hundred bytes; a line that reaches this cap
+/// is answered `error` and the connection is closed, so a newline-free
+/// flood cannot grow a worker's buffer without bound.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
 struct Shared {
     cache: CellCache,
@@ -238,26 +244,50 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    // Bytes of the current request line. A read timeout (the stop-flag
+    // poll) can land mid-line; the bytes read so far stay here and the
+    // next read appends the rest, so the buffer is cleared only once a
+    // complete line has been answered.
+    let mut line: Vec<u8> = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
+        // One byte past the cap, so an over-cap line is detectable.
+        let room = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(0) => return, // EOF: client closed
-            Ok(_) => {
-                let trimmed = line.trim_end_matches(['\n', '\r']);
-                if trimmed.is_empty() {
-                    continue;
-                }
-                let response = handle_line(shared, trimmed);
+            Ok(_) if line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n') => {
+                shared.metrics.record_error();
+                let response = Response::Error {
+                    message: format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+                };
                 if shared.log {
                     eprintln!("{}", response.log_line(&peer));
                 }
-                if writeln!(writer, "{}", response.render())
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
-                    return;
+                let _ = writeln!(writer, "{}", response.render()).and_then(|()| writer.flush());
+                // FIN right behind the error line; the close that
+                // follows resets whatever of the flood is still unread.
+                let _ = writer.shutdown(Shutdown::Write);
+                return;
+            }
+            Ok(_) => {
+                // A complete line — or the client's last, unterminated
+                // one, which the next read reports as EOF.
+                let Ok(text) = std::str::from_utf8(&line) else {
+                    return; // not a text protocol line
+                };
+                let trimmed = text.trim_end_matches(['\n', '\r']);
+                if !trimmed.is_empty() {
+                    let response = handle_line(shared, trimmed);
+                    if shared.log {
+                        eprintln!("{}", response.log_line(&peer));
+                    }
+                    if writeln!(writer, "{}", response.render())
+                        .and_then(|()| writer.flush())
+                        .is_err()
+                    {
+                        return;
+                    }
                 }
+                line.clear();
             }
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
@@ -371,7 +401,7 @@ fn handle_solve(shared: &Shared, query: &SolveRequest) -> Response {
                     if let Some(horizon) = query.validate_horizon {
                         if outcome.solved() {
                             outcome.validation =
-                                validate_cell(&cell, &outcome, suite.as_ref(), horizon, 1);
+                                validate_cell(&cell, &outcome, suite.as_ref(), horizon);
                         }
                     }
                     outcome

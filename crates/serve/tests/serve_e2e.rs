@@ -2,7 +2,9 @@
 //! served outcomes against the offline runner, tier progression
 //! (solved → hot), deadlines, load-shedding, stats, and a clean drain.
 
-use edmac_serve::{Client, Request, Response, ServeConfig, Server, SolveRequest, Tier};
+use edmac_serve::{
+    Client, Request, Response, ServeConfig, Server, SolveRequest, Tier, MAX_LINE_BYTES,
+};
 use edmac_study::{run_study, RunOptions, StudyConfig};
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
@@ -271,5 +273,87 @@ fn shutdown_drains_queued_connections_cleanly() {
             .is_err(),
         "a drained server must not keep serving"
     );
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// Opens a raw connection: the tests below control exactly which bytes
+/// reach the server, and when.
+fn raw_connect(server: &Server) -> (std::net::TcpStream, std::io::BufReader<std::net::TcpStream>) {
+    let stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    let reader = std::io::BufReader::new(stream.try_clone().unwrap());
+    (stream, reader)
+}
+
+#[test]
+fn request_split_across_a_pause_is_answered_whole() {
+    use std::io::{BufRead as _, Write as _};
+    let root = temp_root("split");
+    let server = start(root.join("cache"), 1, 16);
+    let (mut stream, mut reader) = raw_connect(&server);
+    let request = Request::Stats.render();
+    let (head, tail) = request.split_at(request.len() / 2);
+    stream.write_all(head.as_bytes()).unwrap();
+    stream.flush().unwrap();
+    // Longer than the server's 25 ms read poll: its read times out with
+    // the first half buffered.
+    std::thread::sleep(std::time::Duration::from_millis(80));
+    stream.write_all(format!("{tail}\n").as_bytes()).unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let response = Response::parse(line.trim_end()).unwrap();
+    assert!(
+        matches!(response, Response::Stats(_)),
+        "split request must be answered as a whole: {line}"
+    );
+    // The connection stays usable for the next request.
+    stream
+        .write_all(format!("{}\n", Request::Stats.render()).as_bytes())
+        .unwrap();
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert!(matches!(
+        Response::parse(line.trim_end()).unwrap(),
+        Response::Stats(_)
+    ));
+    server.shutdown();
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
+fn newline_free_flood_is_cut_off_at_the_line_cap() {
+    use std::io::{BufRead as _, Write as _};
+    let root = temp_root("flood");
+    let server = start(root.join("cache"), 1, 16);
+    let (mut stream, mut reader) = raw_connect(&server);
+    // Keep writing until the server hangs up; the safety bound is far
+    // past any socket buffering, so reaching it means no cut-off.
+    let flooder = std::thread::spawn(move || {
+        let chunk = vec![b'x'; 8192];
+        let limit = 4096 * MAX_LINE_BYTES;
+        let mut sent = 0usize;
+        while sent < limit {
+            match stream.write(&chunk) {
+                Ok(n) => sent += n,
+                Err(_) => return Some(sent),
+            }
+        }
+        None
+    });
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let Response::Error { message } = Response::parse(line.trim_end()).unwrap() else {
+        panic!("an over-cap line must answer an error: {line}");
+    };
+    assert!(message.contains(&MAX_LINE_BYTES.to_string()), "{message}");
+    let sent = flooder.join().unwrap();
+    assert!(
+        sent.is_some(),
+        "the server never closed the flooding connection"
+    );
+    server.shutdown();
     std::fs::remove_dir_all(&root).unwrap();
 }

@@ -1,21 +1,18 @@
 //! The simulation engine: event loop, radio state machine, unit-disk
 //! channel with collisions, timers and energy accounting.
 //!
-//! # Sharded execution
+//! # Execution
 //!
-//! The engine is built around a read-only [`Shared`] world plus one or
-//! more [`ShardState`]s, each owning an arena of per-node state, a
-//! calendar-queue event scheduler and a calendar-queue wake schedule.
-//! A run with one shard *is* the sequential reference engine; a run
-//! with `k` shards (see [`Simulation::with_shards`]) partitions the
-//! topology spatially and executes the shards on worker threads under
-//! conservative, wake-derived time bounds (`shard.rs`). Every piece of
-//! mutable run state — RNG stream, timer ids, transmit sequence
-//! numbers, packet ids, event sequence numbers, packet records — is
-//! per-node, and every queue tie-break is on the global
-//! `(time, node order, sequence)` key ([`crate::OrderKey`]), which is
-//! why the sharded run reproduces the sequential `SimReport` bit for
-//! bit (asserted by `tests/shard_equivalence.rs`).
+//! The engine is a read-only [`Shared`] world plus one [`RunState`]:
+//! an arena of per-node state indexed by [`NodeId::index`], a
+//! calendar-queue event scheduler and a calendar-queue wake schedule,
+//! driven by one sequential loop. Every piece of mutable run state —
+//! RNG stream, timer ids, transmit sequence numbers, packet ids, event
+//! sequence numbers, packet records — is per-node, and every queue
+//! tie-break is on the global `(time, round, node, sequence)` key
+//! ([`crate::OrderKey`]), so a node's evolution is a function of the
+//! seed, its own index and the events it receives — never of a
+//! run-global counter.
 
 use crate::events::Event;
 use crate::frame::{Frame, FrameKind, Packet, PacketId};
@@ -30,9 +27,6 @@ use edmac_radio::{Cause, EnergyLedger, FrameSizes, Mode, Radio};
 use edmac_units::Seconds;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::collections::HashMap;
 use std::collections::HashSet;
 
 /// How the engine schedules protocol clock ticks.
@@ -156,9 +150,9 @@ impl MacNode for NullNode {
 
 /// Per-node radio bookkeeping.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct RadioState {
-    pub(crate) mode: Mode,
-    pub(crate) since: SimTime,
+struct RadioState {
+    mode: Mode,
+    since: SimTime,
     cause: Cause,
     /// Invalidates in-flight `RadioReady` events after `sleep()`.
     startup_token: u64,
@@ -201,7 +195,7 @@ impl ActiveRx {
 /// received powers parallel to `Shared::neighbors` and the decode
 /// parameters from the realized [`ChannelModel`].
 #[derive(Debug)]
-pub(crate) enum ChannelKind {
+enum ChannelKind {
     Binary,
     Sinr {
         /// `rx_power[u][i]` = received power (mW) at
@@ -223,16 +217,16 @@ fn node_stream(seed: u64, node: usize) -> u64 {
     mix(seed ^ mix(node as u64 ^ 0x0005_DEEC_E66D))
 }
 
-/// All mutable state of one node, stored in its shard's arena.
+/// All mutable state of one node, stored in the run's arena.
 ///
-/// Everything that used to be a run-global counter (timer ids, tx
+/// Everything that could be a run-global counter (timer ids, tx
 /// sequence numbers, packet ids, the event sequence, the RNG) lives
-/// here, keyed or seeded by the node's global index — the invariant
-/// that makes the simulation's evolution independent of how nodes are
-/// spread over shards.
+/// here, keyed or seeded by the node's global index, so what a node
+/// draws and mints never depends on how its events interleave with
+/// other nodes'.
 #[derive(Debug)]
-pub(crate) struct NodeState {
-    pub(crate) radio: RadioState,
+struct NodeState {
+    radio: RadioState,
     ledger: EnergyLedger,
     active_rx: Option<ActiveRx>,
     air_count: u32,
@@ -247,14 +241,15 @@ pub(crate) struct NodeState {
     rng: StdRng,
     /// The currently registered wake `(time, token)`; queue entries
     /// that no longer match are stale and skipped on pop.
-    pub(crate) wake_current: Option<(SimTime, u64)>,
+    wake_current: Option<(SimTime, u64)>,
     wake_token: u64,
     next_timer: u64,
     next_tx: u64,
     next_packet: u64,
     next_event_seq: u64,
     cancelled_timers: HashSet<u64>,
-    /// Records of packets *originating* here, in creation order.
+    /// Records of packets *originating* here, in creation order: the
+    /// `k`-th record carries the node's `k`-th packet id.
     records: Vec<PacketRecord>,
 }
 
@@ -305,22 +300,20 @@ impl NodeState {
     }
 }
 
-/// The read-only world every shard shares: topology, routing, radio
-/// hardware, configuration, and the node→shard placement.
+/// The read-only world of a run: topology, routing, radio hardware
+/// and configuration.
 #[derive(Debug)]
-pub(crate) struct Shared {
-    pub(crate) end: SimTime,
-    pub(crate) radio_hw: Radio,
+struct Shared {
+    end: SimTime,
+    radio_hw: Radio,
     frames: FrameSizes,
-    pub(crate) neighbors: Vec<Vec<NodeId>>,
+    neighbors: Vec<Vec<NodeId>>,
     parent: Vec<Option<NodeId>>,
     depth: Vec<usize>,
     /// How receptions are judged; `ChannelKind::Binary` on every
     /// legacy builder. Under `Sinr`, `neighbors` is the channel's
     /// *air* adjacency (everyone who registers interference power), a
-    /// superset of the decode graph routing was built over — the
-    /// sharded scheduler's lookahead keys on `neighbors`, so it stays
-    /// conservative under interference-range > decode-range for free.
+    /// superset of the decode graph routing was built over.
     channel: ChannelKind,
     /// The network each node belongs to (all 0 outside coexistence
     /// builds). Frames decode across networks — the radio cannot know
@@ -331,24 +324,14 @@ pub(crate) struct Shared {
     sinks: Vec<NodeId>,
     /// Each network's deepest hop distance, indexed by network id.
     max_depths: Vec<usize>,
-    pub(crate) sink: NodeId,
-    pub(crate) config: SimConfig,
+    sink: NodeId,
+    config: SimConfig,
     /// `true` when every node runs a protocol that never samples the
     /// channel (no CCA), letting the engine elide air events to
     /// sleeping receivers.
     cca_free: bool,
     /// Per-node traffic overriding [`SimConfig::sample_period`].
     traffic: Option<TrafficProfile>,
-    /// The shard owning each global node.
-    pub(crate) shard_of: Vec<u32>,
-    /// Each global node's index into its owning shard's arena.
-    pub(crate) local_of: Vec<u32>,
-    /// The exact engine delta of a radio startup, in nanoseconds.
-    pub(crate) startup_ns: u64,
-    /// The exact minimum frame airtime delta, in nanoseconds — the
-    /// shortest delay after which one node's handler can create a
-    /// *handler* (an `on_frame`) at another node.
-    pub(crate) min_airtime_ns: u64,
 }
 
 impl Shared {
@@ -364,10 +347,6 @@ impl Shared {
         }
     }
 
-    pub(crate) fn local(&self, node: NodeId) -> usize {
-        self.local_of[node.index()] as usize
-    }
-
     /// The network `node` belongs to (0 outside coexistence builds).
     fn network(&self, node: NodeId) -> usize {
         self.network_of[node.index()] as usize
@@ -379,42 +358,23 @@ impl Shared {
     }
 }
 
-/// One shard's complete mutable state: its slice of the node arena,
-/// its event and wake calendars, and its cross-shard outbox.
+/// The complete mutable state of a run: the node arena (indexed by
+/// [`NodeId::index`]), the event and wake calendars, and the clock.
 #[derive(Debug)]
-pub(crate) struct ShardState {
-    pub(crate) id: u32,
-    pub(crate) now: SimTime,
-    pub(crate) events: CalendarQueue<Event>,
-    pub(crate) wakes: CalendarQueue<()>,
-    /// Global ids of this shard's nodes, ascending; `nodes`,
-    /// `machines`, `pending` and `boundary` are parallel to it.
-    pub(crate) members: Vec<NodeId>,
-    pub(crate) nodes: Vec<NodeState>,
+struct RunState {
+    now: SimTime,
+    events: CalendarQueue<Event>,
+    wakes: CalendarQueue<()>,
+    nodes: Vec<NodeState>,
     machines: Vec<Box<dyn MacNode>>,
-    /// Events emitted for other shards' nodes: `(dest shard, key,
-    /// event)`, routed by the coordinator at round boundaries.
-    pub(crate) outbox: Vec<(u32, OrderKey, Event)>,
-    /// Per boundary node: a lazy min-heap of the times of events
-    /// scheduled for it (a lower bound on its next queue handler,
-    /// feeding the lookahead computation).
-    pub(crate) pending: Vec<BinaryHeap<Reverse<SimTime>>>,
-    /// `true` where the node has a neighbor in another shard.
-    pub(crate) boundary: Vec<bool>,
-    /// Adjacent shards and, per adjacent shard, the local indices of
-    /// this shard's nodes with neighbors there.
-    pub(crate) adj: Vec<(u32, Vec<u32>)>,
-    /// Sink-side delivery log: packet id → (time, hops), first write
-    /// wins (in shard execution order).
-    deliveries: HashMap<u64, (SimTime, u32)>,
 }
 
-impl ShardState {
-    /// Mints the next ordering key of `node` (arena index `local`).
-    /// `round` is the same-instant causal depth ([`OrderKey::round`]);
-    /// entries for future instants always pass 0.
-    fn key_for(&mut self, local: usize, node: NodeId, at: SimTime, round: u32) -> OrderKey {
-        let st = &mut self.nodes[local];
+impl RunState {
+    /// Mints the next ordering key of `node`. `round` is the
+    /// same-instant causal depth ([`OrderKey::round`]); entries for
+    /// future instants always pass 0.
+    fn key_for(&mut self, node: NodeId, at: SimTime, round: u32) -> OrderKey {
+        let st = &mut self.nodes[node.index()];
         let seq = st.next_event_seq;
         st.next_event_seq += 1;
         OrderKey {
@@ -425,20 +385,9 @@ impl ShardState {
         }
     }
 
-    /// Schedules a shard-local event, tracking boundary pending times.
-    pub(crate) fn schedule_event(&mut self, shared: &Shared, key: OrderKey, event: Event) {
-        let dest = event.node();
-        debug_assert_eq!(shared.shard_of[dest.index()], self.id);
-        let l = shared.local(dest);
-        if self.boundary[l] {
-            self.pending[l].push(Reverse(key.at));
-        }
-        self.events.schedule(key, event);
-    }
-
     /// Registers (or supersedes) the single pending wake of a node.
-    fn register_wake(&mut self, local: usize, node: NodeId, want: Option<SimTime>) {
-        let st = &mut self.nodes[local];
+    fn register_wake(&mut self, node: NodeId, want: Option<SimTime>) {
+        let st = &mut self.nodes[node.index()];
         match (want, st.wake_current) {
             (Some(t), Some((current, _))) if current == t => {}
             (Some(t), _) => {
@@ -458,27 +407,25 @@ impl ShardState {
             (None, None) => {}
         }
     }
-}
 
-/// The earliest valid pending wake of `shard`, dropping stale entries.
-pub(crate) fn peek_wake(shared: &Shared, shard: &mut ShardState) -> Option<OrderKey> {
-    while let Some(key) = shard.wakes.peek_key() {
-        let l = shared.local(NodeId::new(key.node as usize));
-        if shard.nodes[l].wake_current == Some((key.at, key.seq)) {
-            return Some(key);
+    /// The earliest valid pending wake, dropping stale entries.
+    fn peek_wake(&mut self) -> Option<OrderKey> {
+        while let Some(key) = self.wakes.peek_key() {
+            if self.nodes[key.node as usize].wake_current == Some((key.at, key.seq)) {
+                return Some(key);
+            }
+            self.wakes.pop();
         }
-        shard.wakes.pop();
+        None
     }
-    None
 }
 
 /// The node-facing API: everything a [`MacNode`] may do to the world.
 #[derive(Debug)]
 pub struct Ctx<'a> {
     shared: &'a Shared,
-    shard: &'a mut ShardState,
+    run: &'a mut RunState,
     node: NodeId,
-    local: usize,
     /// Causal round assigned to entries this handler schedules for the
     /// *current* instant: the triggering entry's round plus one.
     round: u32,
@@ -487,7 +434,7 @@ pub struct Ctx<'a> {
 impl Ctx<'_> {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.shard.now
+        self.run.now
     }
 
     /// This node's id.
@@ -529,35 +476,34 @@ impl Ctx<'_> {
     /// Returns `true` if any in-range transmission is currently on the
     /// air (the CCA primitive).
     pub fn channel_busy(&self) -> bool {
-        self.shard.nodes[self.local].air_count > 0
+        self.run.nodes[self.node.index()].air_count > 0
     }
 
     /// Returns `true` if the radio is currently locked onto a frame.
     pub fn is_receiving(&self) -> bool {
-        self.shard.nodes[self.local].active_rx.is_some()
+        self.run.nodes[self.node.index()].active_rx.is_some()
     }
 
     /// The radio's current mode.
     pub fn mode(&self) -> Mode {
-        self.shard.nodes[self.local].radio.mode
+        self.run.nodes[self.node.index()].radio.mode
     }
 
     /// Mints this node's next event ordering key for time `at`.
     /// Same-instant entries inherit this handler's causal round.
     fn next_key(&mut self, at: SimTime) -> OrderKey {
-        let round = if at == self.shard.now { self.round } else { 0 };
-        self.shard.key_for(self.local, self.node, at, round)
+        let round = if at == self.run.now { self.round } else { 0 };
+        self.run.key_for(self.node, at, round)
     }
 
     /// Schedules a timer `delay` from now; returns its id.
     pub fn set_timer(&mut self, delay: Seconds, tag: u32) -> u64 {
-        let st = &mut self.shard.nodes[self.local];
+        let st = &mut self.run.nodes[self.node.index()];
         let id = ((self.node.index() as u64) << 32) | st.next_timer;
         st.next_timer += 1;
-        let at = self.shard.now.after(delay);
+        let at = self.run.now.after(delay);
         let key = self.next_key(at);
-        self.shard.schedule_event(
-            self.shared,
+        self.run.events.schedule(
             key,
             Event::Timer {
                 node: self.node,
@@ -570,7 +516,9 @@ impl Ctx<'_> {
 
     /// Cancels a pending timer (firing becomes a no-op).
     pub fn cancel_timer(&mut self, id: u64) {
-        self.shard.nodes[self.local].cancelled_timers.insert(id);
+        self.run.nodes[self.node.index()]
+            .cancelled_timers
+            .insert(id);
     }
 
     /// Uniform random sample in `[lo, hi)` from this node's seeded
@@ -580,7 +528,7 @@ impl Ctx<'_> {
         if hi <= lo {
             return lo;
         }
-        self.shard.nodes[self.local].rng.gen_range(lo..hi)
+        self.run.nodes[self.node.index()].rng.gen_range(lo..hi)
     }
 
     /// Starts the radio from sleep; [`MacNode::on_radio_ready`] fires
@@ -589,8 +537,8 @@ impl Ctx<'_> {
     /// `cause` is charged for the startup period (poll startups are
     /// carrier-sense, schedule wake-ups are sync, ...).
     pub fn wake(&mut self, cause: Cause) {
-        let now = self.shard.now;
-        let st = &mut self.shard.nodes[self.local];
+        let now = self.run.now;
+        let st = &mut self.run.nodes[self.node.index()];
         if st.radio.mode != Mode::Sleep {
             return;
         }
@@ -599,8 +547,7 @@ impl Ctx<'_> {
         let token = st.radio.startup_token;
         let at = now.after(self.shared.radio_hw.timings.startup);
         let key = self.next_key(at);
-        self.shard.schedule_event(
-            self.shared,
+        self.run.events.schedule(
             key,
             Event::RadioReady {
                 node: self.node,
@@ -617,8 +564,8 @@ impl Ctx<'_> {
     /// Panics if called mid-transmission — a protocol must never
     /// abandon its own frame on the air.
     pub fn sleep(&mut self) {
-        let now = self.shard.now;
-        let st = &mut self.shard.nodes[self.local];
+        let now = self.run.now;
+        let st = &mut self.run.nodes[self.node.index()];
         assert!(
             st.radio.mode != Mode::Tx,
             "node {} tried to sleep while transmitting",
@@ -632,8 +579,8 @@ impl Ctx<'_> {
     /// Re-labels the cause charged for the current listening period
     /// (e.g. a poll that turned into an exchange).
     pub fn relabel_listen(&mut self, cause: Cause) {
-        let now = self.shard.now;
-        let st = &mut self.shard.nodes[self.local];
+        let now = self.run.now;
+        let st = &mut self.run.nodes[self.node.index()];
         if st.radio.mode == Mode::Listen {
             st.set_mode(now, Mode::Listen, cause);
         }
@@ -648,15 +595,15 @@ impl Ctx<'_> {
     /// Panics if the radio is not in listen mode — protocols must
     /// sequence their own transmissions.
     pub fn send(&mut self, kind: FrameKind, dst: Option<NodeId>, packet: Option<Packet>) {
-        let now = self.shard.now;
+        let now = self.run.now;
         assert_eq!(
-            self.shard.nodes[self.local].radio.mode,
+            self.run.nodes[self.node.index()].radio.mode,
             Mode::Listen,
             "node {} tried to send {kind:?} while not listening",
             self.node
         );
         // Transmitting tears down any half-received frame.
-        self.shard.nodes[self.local].active_rx = None;
+        self.run.nodes[self.node.index()].active_rx = None;
 
         let frame = Frame {
             kind,
@@ -665,7 +612,7 @@ impl Ctx<'_> {
             packet,
         };
         let duration = self.airtime(kind);
-        let st = &mut self.shard.nodes[self.local];
+        let st = &mut self.run.nodes[self.node.index()];
         let tx_seq = ((self.node.index() as u64) << 32) | st.next_tx;
         st.next_tx += 1;
         st.counters.record_tx(kind);
@@ -679,79 +626,45 @@ impl Ctx<'_> {
                 ChannelKind::Binary => 0.0,
                 ChannelKind::Sinr { rx_power, .. } => rx_power[self.node.index()][i],
             };
-            let dest_shard = self.shared.shard_of[neighbor.index()];
-            if dest_shard == self.shard.id {
-                // A receiver asleep at the first bit can never lock
-                // onto the frame; the only residue of delivering its
-                // air events would be the `air_count` the CCA primitive
-                // reads. For a protocol that never samples the channel
-                // (LMAC), that residue is unobservable, so the pair is
-                // elided. On the SINR channel the pair always ships:
-                // its power contributes to the interference every
-                // *later*-locked frame at this receiver is judged
-                // against.
-                let nl = self.shared.local(neighbor);
-                if matches!(self.shared.channel, ChannelKind::Binary)
-                    && self.shared.cca_free
-                    && self.shard.nodes[nl].radio.mode == Mode::Sleep
-                {
-                    continue;
-                }
-                let k1 = self.next_key(start);
-                self.shard.schedule_event(
-                    self.shared,
-                    k1,
-                    Event::AirStart {
-                        node: neighbor,
-                        tx_seq,
-                        frame,
-                        power_mw,
-                    },
-                );
-                let k2 = self.next_key(end);
-                self.shard.schedule_event(
-                    self.shared,
-                    k2,
-                    Event::AirEnd {
-                        node: neighbor,
-                        tx_seq,
-                        frame,
-                        power_mw,
-                    },
-                );
-            } else {
-                // Cross-shard receivers always get the air pair: their
-                // radio mode cannot be read here, and delivering to a
-                // sleeping CCA-free receiver is provably unobservable
-                // (air_count is only read by the CCA primitive, which
-                // a cca_free protocol never calls).
-                let k1 = self.next_key(start);
-                self.shard.outbox.push((
-                    dest_shard,
-                    k1,
-                    Event::AirStart {
-                        node: neighbor,
-                        tx_seq,
-                        frame,
-                        power_mw,
-                    },
-                ));
-                let k2 = self.next_key(end);
-                self.shard.outbox.push((
-                    dest_shard,
-                    k2,
-                    Event::AirEnd {
-                        node: neighbor,
-                        tx_seq,
-                        frame,
-                        power_mw,
-                    },
-                ));
+            // A receiver asleep at the first bit can never lock onto
+            // the frame; the only residue of delivering its air events
+            // would be the `air_count` the CCA primitive reads. For a
+            // protocol that never samples the channel (LMAC), that
+            // residue is unobservable, so the pair is elided. On the
+            // SINR channel the pair always ships: its power contributes
+            // to the interference every *later*-locked frame at this
+            // receiver is judged against.
+            if matches!(self.shared.channel, ChannelKind::Binary)
+                && self.shared.cca_free
+                && self.run.nodes[neighbor.index()].radio.mode == Mode::Sleep
+            {
+                continue;
             }
+            let k1 = self.next_key(start);
+            self.run.events.schedule(
+                k1,
+                Event::AirStart {
+                    node: neighbor,
+                    tx_seq,
+                    frame,
+                    power_mw,
+                },
+            );
+            let k2 = self.next_key(end);
+            self.run.events.schedule(
+                k2,
+                Event::AirEnd {
+                    node: neighbor,
+                    tx_seq,
+                    frame,
+                    power_mw,
+                },
+            );
         }
         let k = self.next_key(end);
-        self.shard
-            .schedule_event(self.shared, k, Event::TxDone { node: self.node });
+        self.run
+            .events
+            .schedule(k, Event::TxDone { node: self.node });
     }
 
     /// Replays, straight into the energy ledger, one idle wake-up that
@@ -770,7 +683,7 @@ impl Ctx<'_> {
     /// No-op if the node was not asleep across `wake_at` (the dense
     /// scheduler skips busy boundaries without charging them).
     pub fn replay_idle_wake(&mut self, wake_at: SimTime, cause: Cause, listen: Seconds) {
-        let st = &mut self.shard.nodes[self.local];
+        let st = &mut self.run.nodes[self.node.index()];
         let state = st.radio;
         if state.mode != Mode::Sleep || wake_at < state.since {
             return;
@@ -805,7 +718,7 @@ impl Ctx<'_> {
             .shared
             .radio_hw
             .airtime(FrameKind::Control.size(&self.shared.frames));
-        let st = &mut self.shard.nodes[self.local];
+        let st = &mut self.run.nodes[self.node.index()];
         let state = st.radio;
         if state.mode != Mode::Sleep || wake_at < state.since {
             return;
@@ -831,13 +744,22 @@ impl Ctx<'_> {
         st.radio.since = slept;
     }
 
-    /// Records the final delivery of `packet` at the sink.
+    /// Records the final delivery of `packet` at the sink; the first
+    /// delivery of a packet wins.
     pub fn deliver(&mut self, packet: Packet) {
-        let now = self.shard.now;
-        self.shard
-            .deliveries
-            .entry(packet.id.0)
-            .or_insert((now, packet.hops));
+        // Packet ids are `(origin index << 32) | k`, and the origin's
+        // `k`-th record carries exactly that id.
+        let id = packet.id.0;
+        let record = self
+            .run
+            .nodes
+            .get_mut((id >> 32) as usize)
+            .and_then(|st| st.records.get_mut((id & 0xFFFF_FFFF) as usize))
+            .filter(|r| r.id == packet.id && r.delivered.is_none());
+        if let Some(r) = record {
+            r.delivered = Some(self.run.now);
+            r.hops = packet.hops;
+        }
     }
 }
 
@@ -845,37 +767,34 @@ impl Ctx<'_> {
 /// re-queries and re-registers the node's wake. `round` is the causal
 /// round the handler's same-instant scheduling inherits (the
 /// triggering entry's round plus one).
-pub(crate) fn with_node<F>(shared: &Shared, shard: &mut ShardState, node: NodeId, round: u32, f: F)
+fn with_node<F>(shared: &Shared, run: &mut RunState, node: NodeId, round: u32, f: F)
 where
     F: FnOnce(&mut Box<dyn MacNode>, &mut Ctx<'_>),
 {
-    let local = shared.local(node);
     let mut taken: Box<dyn MacNode> =
-        std::mem::replace(&mut shard.machines[local], Box::new(NullNode));
+        std::mem::replace(&mut run.machines[node.index()], Box::new(NullNode));
     let want = {
         let mut ctx = Ctx {
             shared,
-            shard,
+            run,
             node,
-            local,
             round,
         };
         f(&mut taken, &mut ctx);
         taken.next_activity(&mut ctx)
     };
-    shard.machines[local] = taken;
-    shard.register_wake(local, node, want);
+    run.machines[node.index()] = taken;
+    run.register_wake(node, want);
 }
 
-/// Delivers one event to shard-local state and the destination node.
+/// Delivers one event to the destination node's state and machine.
 /// `round` is the causal round for same-instant follow-ups (the
 /// event's own round plus one).
-fn dispatch(shared: &Shared, shard: &mut ShardState, round: u32, event: Event) {
+fn dispatch(shared: &Shared, run: &mut RunState, round: u32, event: Event) {
     match event {
         Event::Generate { node } => {
-            let local = shared.local(node);
-            let now = shard.now;
-            let st = &mut shard.nodes[local];
+            let now = run.now;
+            let st = &mut run.nodes[node.index()];
             let id = PacketId(((node.index() as u64) << 32) | st.next_packet);
             st.next_packet += 1;
             let packet = Packet {
@@ -901,31 +820,27 @@ fn dispatch(shared: &Shared, shard: &mut ShardState, round: u32, event: Event) {
             let jitter = st.rng.gen_range(0.5..1.5);
             let next = now.after(shared.sample_period(now, node) * jitter);
             let r = if next == now { round } else { 0 };
-            let key = shard.key_for(local, node, next, r);
-            shard.schedule_event(shared, key, Event::Generate { node });
-            with_node(shared, shard, node, round, |n, ctx| {
+            let key = run.key_for(node, next, r);
+            run.events.schedule(key, Event::Generate { node });
+            with_node(shared, run, node, round, |n, ctx| {
                 n.on_generate(ctx, packet)
             });
         }
         Event::Timer { node, id, tag } => {
-            let local = shared.local(node);
-            if shard.nodes[local].cancelled_timers.remove(&id) {
+            if run.nodes[node.index()].cancelled_timers.remove(&id) {
                 return;
             }
-            with_node(shared, shard, node, round, |n, ctx| {
-                n.on_timer(ctx, tag, id)
-            });
+            with_node(shared, run, node, round, |n, ctx| n.on_timer(ctx, tag, id));
         }
         Event::RadioReady { node, token } => {
-            let local = shared.local(node);
-            let now = shard.now;
-            let st = &mut shard.nodes[local];
+            let now = run.now;
+            let st = &mut run.nodes[node.index()];
             if st.radio.startup_token != token || st.radio.mode != Mode::Startup {
                 return; // stale: the node went back to sleep
             }
             let cause = st.radio.cause;
             st.set_mode(now, Mode::Listen, cause);
-            with_node(shared, shard, node, round, |n, ctx| n.on_radio_ready(ctx));
+            with_node(shared, run, node, round, |n, ctx| n.on_radio_ready(ctx));
         }
         Event::AirStart {
             node,
@@ -933,9 +848,8 @@ fn dispatch(shared: &Shared, shard: &mut ShardState, round: u32, event: Event) {
             frame,
             power_mw,
         } => {
-            let local = shared.local(node);
-            let now = shard.now;
-            let st = &mut shard.nodes[local];
+            let now = run.now;
+            let st = &mut run.nodes[node.index()];
             st.air_count += 1;
             match &shared.channel {
                 ChannelKind::Binary => match st.radio.mode {
@@ -1013,9 +927,8 @@ fn dispatch(shared: &Shared, shard: &mut ShardState, round: u32, event: Event) {
             frame,
             power_mw,
         } => {
-            let local = shared.local(node);
-            let now = shard.now;
-            let st = &mut shard.nodes[local];
+            let now = run.now;
+            let st = &mut run.nodes[node.index()];
             st.air_count = st.air_count.saturating_sub(1);
             if let ChannelKind::Sinr { .. } = &shared.channel {
                 st.tally.remove(power_mw);
@@ -1043,44 +956,30 @@ fn dispatch(shared: &Shared, shard: &mut ShardState, round: u32, event: Event) {
                     // Cross-network frames decode at the radio but
                     // never reach the MAC state machine (PAN filter).
                     if shared.network(frame.src) == shared.network(node) {
-                        with_node(shared, shard, node, round, |n, ctx| n.on_frame(ctx, &frame));
+                        with_node(shared, run, node, round, |n, ctx| n.on_frame(ctx, &frame));
                     }
                 }
             }
         }
         Event::TxDone { node } => {
-            let local = shared.local(node);
-            let now = shard.now;
-            let st = &mut shard.nodes[local];
+            let now = run.now;
+            let st = &mut run.nodes[node.index()];
             debug_assert_eq!(st.radio.mode, Mode::Tx);
             st.set_mode(now, Mode::Listen, Cause::CarrierSense);
-            with_node(shared, shard, node, round, |n, ctx| n.on_tx_done(ctx));
+            with_node(shared, run, node, round, |n, ctx| n.on_tx_done(ctx));
         }
     }
 }
 
-/// Runs `shard` forward, interleaving queued events with the per-node
-/// wake schedule exactly like the single-threaded engine: ties go to
-/// wakes (the dense scheduler's boundary timers always carried the
-/// earliest sequence numbers), simultaneous wakes fire in node order.
-///
-/// Processes items with time strictly below `bound_ns` (the
-/// conservative window bound; `u64::MAX` = unbounded), never past the
-/// horizon, and at most `limit` of them (the serialized fallback steps
-/// one at a time). Returns the number of items processed.
-pub(crate) fn advance(
-    shared: &Shared,
-    shard: &mut ShardState,
-    bound_ns: u64,
-    mut limit: usize,
-) -> usize {
-    // `at > end` never fires; in integer nanoseconds that is `at >=
-    // end + 1`, which folds the horizon into the exclusive bound.
-    let bound = bound_ns.min(shared.end.as_nanos() + 1);
-    let mut done = 0;
-    while limit > 0 {
-        let wake = peek_wake(shared, shard);
-        let event = shard.events.peek_key();
+/// Runs the event loop to the horizon, interleaving queued events with
+/// the per-node wake schedule: ties go to wakes (the dense scheduler's
+/// boundary timers always carried the earliest sequence numbers),
+/// simultaneous wakes fire in node order, and nothing past the horizon
+/// fires.
+fn run_to_horizon(shared: &Shared, run: &mut RunState) {
+    loop {
+        let wake = run.peek_wake();
+        let event = run.events.peek_key();
         let fire_wake = match (wake, event) {
             (Some(w), Some(e)) => w.at <= e.at,
             (Some(_), None) => true,
@@ -1089,61 +988,56 @@ pub(crate) fn advance(
         };
         if fire_wake {
             let key = wake.expect("chosen branch has a wake");
-            if key.at.as_nanos() >= bound {
+            if key.at > shared.end {
                 break;
             }
-            shard.wakes.pop();
+            run.wakes.pop();
             let node = NodeId::new(key.node as usize);
-            shard.nodes[shared.local(node)].wake_current = None;
-            shard.now = key.at;
+            run.nodes[node.index()].wake_current = None;
+            run.now = key.at;
             // Wakes carry round 0 and all fire before any event at the
             // same instant, so their same-instant follow-ups land in
             // round 1 — after every already-pending event.
-            with_node(shared, shard, node, 1, |n, ctx| n.on_wake(ctx));
+            with_node(shared, run, node, 1, |n, ctx| n.on_wake(ctx));
         } else {
             let key = event.expect("chosen branch has an event");
-            if key.at.as_nanos() >= bound {
+            if key.at > shared.end {
                 break;
             }
-            let (_, ev) = shard.events.pop().expect("peeked event exists");
-            shard.now = key.at;
-            dispatch(shared, shard, key.round + 1, ev);
+            let (_, ev) = run.events.pop().expect("peeked event exists");
+            run.now = key.at;
+            dispatch(shared, run, key.round + 1, ev);
         }
-        done += 1;
-        limit -= 1;
     }
-    done
 }
 
 /// Seeds periodic traffic (random initial phases from each node's own
-/// stream) and starts every node of `shard`.
-pub(crate) fn seed_and_start(shared: &Shared, shard: &mut ShardState) {
-    for i in 0..shard.members.len() {
-        let node = shard.members[i];
+/// stream) and starts every node.
+fn seed_and_start(shared: &Shared, run: &mut RunState) {
+    for i in 0..run.nodes.len() {
+        let node = NodeId::new(i);
         if shared.is_sink(node) {
             continue;
         }
         let period = shared.sample_period(SimTime::ZERO, node);
-        let phase = shard.nodes[i].rng.gen_range(0.0..period.value());
+        let phase = run.nodes[i].rng.gen_range(0.0..period.value());
         let at = SimTime::from_seconds(Seconds::new(phase));
-        let key = shard.key_for(i, node, at, 0);
-        shard.schedule_event(shared, key, Event::Generate { node });
+        let key = run.key_for(node, at, 0);
+        run.events.schedule(key, Event::Generate { node });
     }
-    for i in 0..shard.members.len() {
-        let node = shard.members[i];
-        with_node(shared, shard, node, 1, |n, ctx| n.start(ctx));
+    for i in 0..run.nodes.len() {
+        with_node(shared, run, NodeId::new(i), 1, |n, ctx| n.start(ctx));
     }
 }
 
 /// Horizon phase: let schedule-coarsening nodes replay idle wakes that
 /// were still pending, then flush residual mode time.
-pub(crate) fn finish_shard(shared: &Shared, shard: &mut ShardState) {
-    shard.now = shared.end;
-    for i in 0..shard.members.len() {
-        let node = shard.members[i];
-        with_node(shared, shard, node, 1, |n, ctx| n.on_horizon(ctx));
+fn finish(shared: &Shared, run: &mut RunState) {
+    run.now = shared.end;
+    for i in 0..run.nodes.len() {
+        with_node(shared, run, NodeId::new(i), 1, |n, ctx| n.on_horizon(ctx));
     }
-    for st in &mut shard.nodes {
+    for st in &mut run.nodes {
         st.charge_current(shared.end);
         st.radio.since = shared.end;
     }
@@ -1153,13 +1047,11 @@ pub(crate) fn finish_shard(shared: &Shared, shard: &mut ShardState) {
 #[derive(Debug)]
 pub struct Simulation {
     shared: Shared,
-    positions: Vec<Point2>,
     machines: Vec<Box<dyn MacNode>>,
     protocol: &'static str,
     /// Per-network protocol names (`vec![protocol]` outside
     /// coexistence builds), indexed by network id.
     network_names: Vec<&'static str>,
-    shards: usize,
 }
 
 impl Simulation {
@@ -1189,7 +1081,6 @@ impl Simulation {
         Simulation::assemble(
             &graph,
             &tree,
-            topology.positions(),
             radio,
             frames,
             nodes,
@@ -1254,7 +1145,6 @@ impl Simulation {
         Simulation::assemble(
             &graph,
             &tree,
-            topology.positions(),
             radio,
             frames,
             nodes,
@@ -1268,7 +1158,6 @@ impl Simulation {
     fn assemble(
         graph: &edmac_net::Graph,
         tree: &RoutingTree,
-        positions: &[Point2],
         radio: Radio,
         frames: FrameSizes,
         nodes: Vec<Box<dyn MacNode>>,
@@ -1282,13 +1171,6 @@ impl Simulation {
         let parent: Vec<Option<NodeId>> = graph.nodes().map(|u| tree.parent(u)).collect();
         let depth: Vec<usize> = graph.nodes().map(|u| tree.depth(u)).collect();
         let max_depth = tree.max_depth();
-        let startup_ns = SimTime::from_seconds(radio.timings.startup).as_nanos();
-        let min_airtime_ns = FrameKind::ALL
-            .iter()
-            .map(|k| SimTime::from_seconds(radio.airtime(k.size(&frames))).as_nanos())
-            .min()
-            .unwrap_or(1)
-            .max(1);
         let shared = Shared {
             end: SimTime::from_seconds(config.duration),
             radio_hw: radio,
@@ -1304,18 +1186,12 @@ impl Simulation {
             config,
             cca_free,
             traffic: None,
-            shard_of: vec![0; n],
-            local_of: (0..n as u32).collect(),
-            startup_ns,
-            min_airtime_ns,
         };
         Ok(Simulation {
             shared,
-            positions: positions.to_vec(),
             machines: nodes,
             protocol,
             network_names: vec![protocol],
-            shards: 1,
         })
     }
 
@@ -1349,7 +1225,6 @@ impl Simulation {
         let mut sim = Simulation::assemble(
             &graph,
             &tree,
-            topology.positions(),
             radio,
             frames,
             nodes,
@@ -1389,7 +1264,6 @@ impl Simulation {
         let mut sim = Simulation::assemble(
             &graph,
             &tree,
-            topology.positions(),
             radio,
             frames,
             nodes,
@@ -1428,18 +1302,12 @@ impl Simulation {
         self.machines.len()
     }
 
-    /// Sets the number of spatial shards [`run`](Simulation::run)
-    /// partitions the topology into (default 1 — the sequential
-    /// reference engine). Values above the node count are clamped.
-    ///
-    /// The report is **bit-identical for every shard count**; this
-    /// knob deliberately lives on the `Simulation` and not in
-    /// [`SimConfig`], so the configuration embedded in the
-    /// [`SimReport`] cannot differ between a sequential and a sharded
-    /// run of the same scenario.
+    /// Compatibility no-op: the argument is ignored and the
+    /// simulation is returned unchanged. There is one sequential
+    /// engine, and the report never depended on this value.
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Simulation {
-        self.shards = shards.max(1);
+    pub fn with_shards(self, _shards: usize) -> Simulation {
         self
     }
 
@@ -1593,13 +1461,6 @@ impl Simulation {
             Some(params) => ChannelKind::Sinr { rx_power, params },
             None => ChannelKind::Binary,
         };
-        let startup_ns = SimTime::from_seconds(radio.timings.startup).as_nanos();
-        let min_airtime_ns = FrameKind::ALL
-            .iter()
-            .map(|k| SimTime::from_seconds(radio.airtime(k.size(&frames))).as_nanos())
-            .min()
-            .unwrap_or(1)
-            .max(1);
         let shared = Shared {
             end: SimTime::from_seconds(config.duration),
             radio_hw: radio,
@@ -1618,53 +1479,41 @@ impl Simulation {
             // here.
             cca_free: false,
             traffic: None,
-            shard_of: vec![0; n],
-            local_of: (0..n as u32).collect(),
-            startup_ns,
-            min_airtime_ns,
         };
         Ok(Simulation {
             shared,
-            positions,
             machines,
             protocol: network_names[0],
             network_names,
-            shards: 1,
         })
     }
 
-    /// Runs to completion, returning the final world state.
-    fn execute(self) -> (Shared, Vec<&'static str>, Vec<ShardState>) {
+    /// Runs to completion, returning the world and its final state.
+    fn execute(self) -> (Shared, RunState) {
         let Simulation {
-            mut shared,
-            positions,
-            machines,
-            protocol: _,
-            network_names,
-            shards,
+            shared, machines, ..
         } = self;
-        let n = machines.len();
-        let k = shards.min(n).max(1);
-        let plan = crate::shard::ShardPlan::new(&positions, &shared.neighbors, k);
-        plan.apply(&mut shared);
-        let mut built = build_shards(&shared, &plan, machines);
-        for shard in &mut built {
-            seed_and_start(&shared, shard);
-        }
-        if built.len() == 1 {
-            advance(&shared, &mut built[0], u64::MAX, usize::MAX);
-            finish_shard(&shared, &mut built[0]);
-        } else {
-            built = crate::shard::run_parallel(&shared, built);
-        }
-        (shared, network_names, built)
+        let nodes = (0..machines.len())
+            .map(|u| NodeState::new(&shared.radio_hw, shared.config.seed, u))
+            .collect();
+        let mut run = RunState {
+            now: SimTime::ZERO,
+            events: CalendarQueue::new(),
+            wakes: CalendarQueue::new(),
+            nodes,
+            machines,
+        };
+        seed_and_start(&shared, &mut run);
+        run_to_horizon(&shared, &mut run);
+        finish(&shared, &mut run);
+        (shared, run)
     }
 
     /// Runs the simulation to completion and returns the report.
     pub fn run(self) -> SimReport {
         let protocol = self.protocol;
-        let (shared, _, shards) = self.execute();
-        let (per_node, records) = collect_results(&shared, shards);
+        let (shared, run) = self.execute();
+        let (per_node, records) = collect_results(&shared, run);
         SimReport::new(protocol, shared.config, shared.sink, per_node, records)
     }
 
@@ -1678,8 +1527,8 @@ impl Simulation {
     /// On a single-network build this returns `vec![self.run()]`.
     pub fn run_coexistence(self) -> Vec<SimReport> {
         let names = self.network_names.clone();
-        let (shared, _, shards) = self.execute();
-        let (per_node, records) = collect_results(&shared, shards);
+        let (shared, run) = self.execute();
+        let (per_node, records) = collect_results(&shared, run);
         names
             .iter()
             .enumerate()
@@ -1712,106 +1561,26 @@ pub struct CoexNetwork<'a> {
     pub protocol: &'a dyn SimProtocol,
 }
 
-/// Builds the per-shard arenas from the plan, moving each node's state
-/// machine into its owning shard.
-fn build_shards(
-    shared: &Shared,
-    plan: &crate::shard::ShardPlan,
-    machines: Vec<Box<dyn MacNode>>,
-) -> Vec<ShardState> {
-    let k = plan.shard_count();
-    let mut slots: Vec<Option<Box<dyn MacNode>>> = machines.into_iter().map(Some).collect();
-    let mut shards = Vec::with_capacity(k);
-    for s in 0..k {
-        let members = plan.members(s).to_vec();
-        let nodes: Vec<NodeState> = members
-            .iter()
-            .map(|u| NodeState::new(&shared.radio_hw, shared.config.seed, u.index()))
-            .collect();
-        let machines: Vec<Box<dyn MacNode>> = members
-            .iter()
-            .map(|u| slots[u.index()].take().expect("each node joins one shard"))
-            .collect();
-        let boundary: Vec<bool> = members
-            .iter()
-            .map(|u| {
-                shared.neighbors[u.index()]
-                    .iter()
-                    .any(|v| shared.shard_of[v.index()] != s as u32)
-            })
-            .collect();
-        let pending = members.iter().map(|_| BinaryHeap::new()).collect();
-        shards.push(ShardState {
-            id: s as u32,
-            now: SimTime::ZERO,
-            events: CalendarQueue::new(),
-            wakes: CalendarQueue::new(),
-            members,
-            nodes,
-            machines,
-            outbox: Vec::new(),
-            pending,
-            boundary,
-            adj: plan.adjacency(s),
-            deliveries: HashMap::new(),
-        });
-    }
-    shards
-}
-
-/// Merges per-shard results into canonical global order: node stats in
-/// global node order, packet records sorted by `(created, packet id)`
-/// — the order the sequential engine generates them in — with
-/// cross-shard deliveries resolved earliest-first.
-fn collect_results(
-    shared: &Shared,
-    shards: Vec<ShardState>,
-) -> (Vec<NodeStats>, Vec<PacketRecord>) {
-    let n = shared.neighbors.len();
-    let mut per_node: Vec<Option<NodeStats>> = (0..n).map(|_| None).collect();
-    let mut deliveries: HashMap<u64, (SimTime, u32)> = HashMap::new();
+/// Extracts the results in canonical order: node stats in node order,
+/// packet records sorted by `(created, packet id)`.
+fn collect_results(shared: &Shared, run: RunState) -> (Vec<NodeStats>, Vec<PacketRecord>) {
+    let mut per_node = Vec::with_capacity(run.nodes.len());
     let mut records: Vec<PacketRecord> = Vec::new();
-    for mut shard in shards {
-        for (id, hit) in shard.deliveries.drain() {
-            // First delivery wins; across shards the earliest time
-            // wins (ties keep the lowest shard, which is iterated
-            // first). Built-in protocols only deliver at the sink, so
-            // exactly one shard ever writes a given id.
-            match deliveries.get(&id) {
-                Some(&(t, _)) if t <= hit.0 => {}
-                _ => {
-                    deliveries.insert(id, hit);
-                }
-            }
-        }
-        for (i, st) in shard.nodes.iter_mut().enumerate() {
-            let node = shard.members[i];
-            per_node[node.index()] = Some(NodeStats {
-                node,
-                depth: shared.depth[node.index()],
-                breakdown: st.ledger.breakdown(),
-                busy: st.ledger.busy_time(),
-                counters: st.counters,
-                mean_sinr_db: (st.sinr_decoded > 0)
-                    .then(|| st.sinr_db_sum / st.sinr_decoded as f64),
-            });
-            records.append(&mut st.records);
-        }
+    for (i, st) in run.nodes.into_iter().enumerate() {
+        let node = NodeId::new(i);
+        per_node.push(NodeStats {
+            node,
+            depth: shared.depth[i],
+            breakdown: st.ledger.breakdown(),
+            busy: st.ledger.busy_time(),
+            counters: st.counters,
+            mean_sinr_db: (st.sinr_decoded > 0).then(|| st.sinr_db_sum / st.sinr_decoded as f64),
+        });
+        records.extend(st.records);
     }
-    // Creation order with ties in node order: exactly the order the
-    // sequential engine pushes records (same-instant Generates fire in
-    // node order, and ids sort by (origin, per-origin counter)).
+    // Creation order with ties in node order: same-instant Generates
+    // fire in node order, and ids sort by (origin, per-origin counter).
     records.sort_by_key(|r| (r.created, r.id.0));
-    for r in &mut records {
-        if let Some(&(t, hops)) = deliveries.get(&r.id.0) {
-            r.delivered = Some(t);
-            r.hops = hops;
-        }
-    }
-    let per_node: Vec<NodeStats> = per_node
-        .into_iter()
-        .map(|s| s.expect("every node belongs to exactly one shard"))
-        .collect();
     (per_node, records)
 }
 
@@ -1971,32 +1740,5 @@ mod tests {
                 cfg.duration.value()
             );
         }
-    }
-
-    #[test]
-    fn sharded_run_matches_sequential_exactly() {
-        let build = || {
-            Simulation::ring(
-                3,
-                4,
-                &XmacSim::new(Seconds::from_millis(80.0)),
-                tiny_config(),
-            )
-            .unwrap()
-        };
-        let a = build().run();
-        let b = build().with_shards(3).run();
-        assert_eq!(a.delivered_count(), b.delivered_count());
-        let ea: Vec<u64> = a
-            .per_node()
-            .iter()
-            .map(|s| s.breakdown.total().value().to_bits())
-            .collect();
-        let eb: Vec<u64> = b
-            .per_node()
-            .iter()
-            .map(|s| s.breakdown.total().value().to_bits())
-            .collect();
-        assert_eq!(ea, eb, "sharded energy must be bit-identical");
     }
 }

@@ -41,33 +41,3 @@ pub(crate) enum Event {
     /// `node` finishes transmitting its current frame.
     TxDone { node: NodeId },
 }
-
-impl Event {
-    /// The node this event is delivered to. Cross-shard routing and
-    /// the boundary `pending` lookahead both key on it.
-    pub fn node(&self) -> NodeId {
-        match self {
-            Event::Generate { node }
-            | Event::Timer { node, .. }
-            | Event::RadioReady { node, .. }
-            | Event::AirStart { node, .. }
-            | Event::AirEnd { node, .. }
-            | Event::TxDone { node } => *node,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn event_node_extraction() {
-        let e = Event::Timer {
-            node: NodeId::new(4),
-            id: 1,
-            tag: 2,
-        };
-        assert_eq!(e.node(), NodeId::new(4));
-    }
-}

@@ -20,13 +20,10 @@
 //!   energy breakdowns.
 //!
 //! Everything is seeded and deterministic: the same
-//! [`SimConfig::seed`] reproduces the same run bit-for-bit — including
-//! through [`Simulation::with_shards`], which partitions the realized
-//! topology into spatial shards and runs them conservatively in
-//! parallel under wake-derived time bounds. A sharded run produces the
-//! *same* [`SimReport`] as the sequential engine, byte for byte; the
-//! shard count is purely a wall-clock knob (see the README's
-//! "Simulator architecture" section for the synchronization contract).
+//! [`SimConfig::seed`] reproduces the same run bit-for-bit. One
+//! sequential event loop executes every run; parallelism lives a layer
+//! up, where independent runs (study cells) go to worker threads (see
+//! the README's "Simulator architecture" section).
 //!
 //! Protocols are configured through the object-safe [`SimProtocol`]
 //! trait — [`XmacSim`], [`DmacSim`], [`LmacSim`] and [`ScpSim`] are the
@@ -63,7 +60,6 @@ mod protocol;
 mod protocols;
 pub mod queue;
 mod report;
-mod shard;
 mod time;
 
 pub use engine::{

@@ -42,10 +42,11 @@ pub(crate) mod xmac;
 /// the next callback (X-MAC uses this to elide poll ticks that land
 /// mid-exchange, where the dense tick was a provable no-op).
 ///
-/// Implementations must be `Send`: the sharded engine moves each
-/// node's state machine onto its shard's worker thread. Nodes are
-/// plain data (queues, counters, schedule parameters), so this is a
-/// bound in name only.
+/// Implementations must be `Send`, so a built [`Simulation`] can be
+/// handed to a worker thread. Nodes are plain data (queues, counters,
+/// schedule parameters), so this is a bound in name only.
+///
+/// [`Simulation`]: crate::Simulation
 pub trait MacNode: std::fmt::Debug + Send {
     /// Called once at simulation start.
     fn start(&mut self, ctx: &mut Ctx<'_>);

@@ -3,14 +3,10 @@
 //! implementations — a binary-heap reference and the calendar queue
 //! the engine actually runs on.
 //!
-//! Before the sharded engine, the event loop carried two bare-tuple
-//! priority queues: the wake heap keyed `Reverse<(SimTime, usize,
-//! u64)>` in `engine.rs` and the event scheduler keyed `(SimTime,
-//! u64)` in `events.rs`, each re-stating its tie-break rule in a
-//! comment. Both now share [`OrderKey`] and the [`EventQueue`] trait,
-//! so the tie-break policy is written down exactly once and the
-//! property tests can drive either implementation through the same
-//! interface.
+//! The wake schedule and the event scheduler share [`OrderKey`] and the
+//! [`EventQueue`] trait, so the tie-break policy is written down exactly
+//! once and the property tests can drive either implementation through
+//! the same interface.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -29,13 +25,12 @@ use std::collections::BinaryHeap;
 ///   everything already pending at an instant is processed before
 ///   anything spawned *during* that instant (e.g. a strobe's `TxDone`
 ///   fires before the receiver's same-instant early-ack `AirStart`
-///   reaches the transmitter). Round is intrinsic causal depth, so it
-///   is identical in every sharding.
+///   reaches the transmitter). Round is intrinsic causal depth, not
+///   an insertion counter.
 /// * `node` — the *global* index of the owning node: the woken node
 ///   for wake entries, the scheduling node for events. Breaking time
 ///   ties on the global node index (never on a queue-global insertion
-///   counter) is what makes the order independent of how the
-///   simulation is sharded.
+///   counter) makes the order a function of per-node state alone.
 /// * `seq` — a per-node monotone sequence (the wake token for wakes,
 ///   the node's event counter for events), ordering a node's
 ///   same-instant insertions among themselves.
@@ -57,7 +52,7 @@ pub struct OrderKey {
 
 /// A deterministic priority queue over [`OrderKey`]s.
 ///
-/// Both engine queues — the per-shard wake schedule and the air-event
+/// Both engine queues — the wake schedule and the air-event
 /// scheduler — are instances of this trait, which is what lets the
 /// property tests assert that [`CalendarQueue`] pops in exactly the
 /// total order of the [`HeapQueue`] reference.

@@ -3,8 +3,7 @@
 //! engine's *SINR* code path with σ = 0, capture off, and the
 //! interference floor raised to the sensitivity threshold — must
 //! reproduce the historical binary engine **bit for bit**, across the
-//! same wake-mode and shard matrices `wake_equivalence.rs` and
-//! `shard_equivalence.rs` pin.
+//! same wake-mode matrix `wake_equivalence.rs` pins.
 //!
 //! One diagnostic is deliberately outside the contract:
 //! `NodeStats::mean_sinr_db` is `None` on the binary channel and
@@ -76,23 +75,20 @@ fn assert_identical(a: &SimReport, b: &SimReport, label: &str) {
 }
 
 /// Runs the binary reference and both degenerate channel builds over
-/// one topology × protocol × mode × shard-count cell.
+/// one topology × protocol × mode cell.
 fn assert_degenerate_cell(
     topo: &Topology,
     protocol: &dyn SimProtocol,
     cfg: SimConfig,
-    shards: usize,
     label: &str,
 ) {
     let radio = Radio::cc2420();
     let frames = FrameSizes::default();
     let reference = Simulation::build(topo, radio, frames, protocol, cfg)
         .expect("buildable")
-        .with_shards(shards)
         .run();
     let disk = Simulation::build_with_channel(topo, radio, frames, protocol, cfg, &UnitDisk)
         .expect("buildable")
-        .with_shards(shards)
         .run();
     assert_identical(&disk, &reference, &format!("{label} unit-disk"));
     // UnitDisk keeps the binary engine: the SINR diagnostic stays off.
@@ -106,7 +102,6 @@ fn assert_degenerate_cell(
         &SinrChannel::degenerate(),
     )
     .expect("buildable")
-    .with_shards(shards)
     .run();
     assert_identical(&degenerate, &reference, &format!("{label} degenerate"));
     // The degenerate run rides the SINR path: event-path decodes carry
@@ -136,15 +131,12 @@ fn degenerate_channel_matches_binary_on_ring_matrix() {
         let mut rng = StdRng::seed_from_u64(7);
         let topo = Topology::ring_model(3, 4, &mut rng).expect("buildable ring");
         for mode in [WakeMode::Coarse, WakeMode::Dense] {
-            for shards in [1, 3] {
-                assert_degenerate_cell(
-                    &topo,
-                    protocol.as_ref(),
-                    config(7, mode),
-                    shards,
-                    &format!("{} ring {mode:?} shards={shards}", protocol.name()),
-                );
-            }
+            assert_degenerate_cell(
+                &topo,
+                protocol.as_ref(),
+                config(7, mode),
+                &format!("{} ring {mode:?}", protocol.name()),
+            );
         }
     }
 }
@@ -154,15 +146,12 @@ fn degenerate_channel_matches_binary_on_disks() {
     let mut rng = StdRng::seed_from_u64(33);
     let topo = Topology::uniform_disk(30, 2.0, &mut rng).expect("connected disk");
     for protocol in &protocols() {
-        for shards in [1, 4] {
-            assert_degenerate_cell(
-                &topo,
-                protocol.as_ref(),
-                config(11, WakeMode::Coarse),
-                shards,
-                &format!("{} disk shards={shards}", protocol.name()),
-            );
-        }
+        assert_degenerate_cell(
+            &topo,
+            protocol.as_ref(),
+            config(11, WakeMode::Coarse),
+            &format!("{} disk", protocol.name()),
+        );
     }
 }
 
@@ -188,7 +177,6 @@ proptest! {
                 &topo,
                 &protocol,
                 cfg,
-                2,
                 &format!("proptest topo={topo_seed} seed={run_seed} {mode:?}"),
             );
         }

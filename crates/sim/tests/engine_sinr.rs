@@ -1,8 +1,8 @@
 //! Deterministic engine-level tests of the *SINR* channel semantics —
 //! capture, equal-power destruction, sub-sensitivity arrivals — using
 //! scripted nodes through [`Simulation::with_nodes_and_channel`], plus
-//! the multi-network coexistence builder's PAN filtering and shard
-//! byte-identity.
+//! the multi-network coexistence builder's PAN filtering and
+//! determinism.
 //!
 //! Geometry cheat-sheet (σ = 0, tx 0 dBm, 40 dB reference loss,
 //! α = 3): received power is `−40 − 15·log10(d²)` dBm, so
@@ -381,7 +381,7 @@ fn pan_filter_decodes_but_never_delivers_foreign_frames() {
     assert_eq!(reports[1].protocol(), "intruders");
 }
 
-fn line_coex_reports(offset_y: f64, shards: usize) -> Vec<SimReport> {
+fn line_coex_reports(offset_y: f64) -> Vec<SimReport> {
     let base = Topology::line(5, 0.9).unwrap();
     let other = base.translated(0.0, offset_y);
     let xmac = XmacSim::new(Seconds::from_millis(100.0));
@@ -409,7 +409,6 @@ fn line_coex_reports(offset_y: f64, shards: usize) -> Vec<SimReport> {
         cfg,
     )
     .unwrap()
-    .with_shards(shards)
     .run_coexistence()
 }
 
@@ -432,7 +431,7 @@ fn fingerprint(r: &SimReport) -> Vec<(u64, u64, u64, u64, u64, u64)> {
 
 #[test]
 fn far_networks_run_independently_and_deliver() {
-    let reports = line_coex_reports(100.0, 1);
+    let reports = line_coex_reports(100.0);
     for (k, report) in reports.iter().enumerate() {
         let lo = k * 5;
         let hi = lo + 5;
@@ -463,8 +462,8 @@ fn nearby_networks_interfere_where_far_ones_do_not() {
     // Identical builds except for network 1's placement: network 0's
     // node ids, seeds and traffic are the same in both, so any
     // difference in its report is cross-network interference.
-    let far = line_coex_reports(100.0, 1);
-    let near = line_coex_reports(0.5, 1);
+    let far = line_coex_reports(100.0);
+    let near = line_coex_reports(0.5);
     assert_ne!(
         fingerprint(&far[0]),
         fingerprint(&near[0]),
@@ -476,20 +475,7 @@ fn nearby_networks_interfere_where_far_ones_do_not() {
 }
 
 #[test]
-fn coexistence_reports_are_shard_invariant() {
-    let sequential = line_coex_reports(0.5, 1);
-    let sharded = line_coex_reports(0.5, 2);
-    for (a, b) in sequential.iter().zip(&sharded) {
-        assert_eq!(fingerprint(a), fingerprint(b));
-        assert_eq!(a.records().len(), b.records().len());
-        for (ra, rb) in a.records().iter().zip(b.records()) {
-            assert_eq!(ra, rb);
-        }
-    }
-}
-
-#[test]
-fn coexistence_over_a_shadowed_sinr_channel_is_shard_invariant() {
+fn coexistence_over_a_shadowed_sinr_channel_is_deterministic() {
     // Full-fat channel: shadowing on, capture on. Densely spaced lines
     // keep the decode graph connected for most seeds; the build is
     // retried over seeds until the realization connects (deterministic
@@ -525,23 +511,22 @@ fn coexistence_over_a_shadowed_sinr_channel_is_shard_invariant() {
         ];
         let radio = Radio::cc2420();
         let frames = FrameSizes::default();
-        let Ok(seq) = Simulation::coexistence(&nets, radio, frames, &channel, cfg) else {
+        let Ok(built) = Simulation::coexistence(&nets, radio, frames, &channel, cfg) else {
             continue; // this realization disconnected a network
         };
-        let sharded = Simulation::coexistence(&nets, radio, frames, &channel, cfg)
-            .expect("same seed, same realization")
-            .with_shards(3);
-        reports = Some((seq.run_coexistence(), sharded.run_coexistence()));
+        let again = Simulation::coexistence(&nets, radio, frames, &channel, cfg)
+            .expect("same seed, same realization");
+        reports = Some((built.run_coexistence(), again.run_coexistence()));
         break;
     }
-    let (sequential, sharded) = reports.expect("some seed within 32 must connect both networks");
-    for (a, b) in sequential.iter().zip(&sharded) {
+    let (first, second) = reports.expect("some seed within 32 must connect both networks");
+    for (a, b) in first.iter().zip(&second) {
         assert_eq!(fingerprint(a), fingerprint(b));
         for (sa, sb) in a.per_node().iter().zip(b.per_node()) {
             match (sa.mean_sinr_db, sb.mean_sinr_db) {
                 (Some(x), Some(y)) => assert_eq!(x.to_bits(), y.to_bits()),
                 (None, None) => {}
-                _ => panic!("SINR diagnostic differs across shard counts"),
+                _ => panic!("SINR diagnostic differs between identical runs"),
             }
         }
         for (ra, rb) in a.records().iter().zip(b.records()) {
@@ -549,7 +534,7 @@ fn coexistence_over_a_shadowed_sinr_channel_is_shard_invariant() {
         }
     }
     // The diagnostic accessors stay coherent on a shadowed run.
-    for report in &sequential {
+    for report in &first {
         let (destroyed, captured, below) = report.collision_causes();
         let sums = report.per_node().iter().fold((0, 0, 0), |acc, s| {
             (

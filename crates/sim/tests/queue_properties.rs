@@ -3,8 +3,7 @@
 //! with drains, horizon-clamped far-future clusters — both
 //! [`EventQueue`] implementations must pop the exact same total order.
 //!
-//! Both engine queues (the per-shard wake schedule and the air-event
-//! scheduler) are instances of the same trait, so this single generic
+//! Both engine queues (the wake schedule and the air-event scheduler) are instances of the same trait, so this single generic
 //! harness covers them both: the wake queue is `CalendarQueue<()>`
 //! keyed by wake tokens, the event queue is `CalendarQueue<Event>`
 //! keyed by per-node event counters. Payloads never influence the

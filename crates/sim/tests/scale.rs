@@ -1,25 +1,21 @@
 //! The headline scale run: a 100 000-node uniform disk, simulated
-//! whole, with the sequential engine beating real time on a TDMA
-//! schedule and the sharded engine converting cores into wall-clock
-//! speedup on the preamble-heavy LPL schedule.
+//! whole by the sequential engine.
 //!
 //! Two protocol cells, because they stress opposite ends of the event
 //! spectrum:
 //!
 //! * **LMAC** (TDMA): no preamble strobes, so the event rate is set by
 //!   slot wakes and actual frames. This is the cell that must beat
-//!   real time *sequentially*, on any machine.
+//!   real time, on any machine.
 //! * **X-MAC** (LPL): every hop is a strobe train fanned out to every
 //!   neighbor (~25M air events per 10 simulated seconds at this
-//!   density), which no single core simulates in real time — this is
-//!   exactly the workload sharding exists for, so the real-time and
-//!   ≥3× speedup assertions arm when ≥4 cores are available.
+//!   density); its wall time is printed for the record, not asserted.
 //!
 //! The workload is an hourly-telemetry deployment (3600 s sample
 //! period, 500 ms LPL / 20 ms slots), a realistic operating point for
 //! a network this size. Slow tier (`cargo test --release --
 //! --ignored`): pure CPU work, meaningless under a debug build, so the
-//! timing assertions only arm in release.
+//! timing assertion only arms in release.
 
 use edmac_net::Topology;
 use edmac_radio::{FrameSizes, Radio};
@@ -70,7 +66,6 @@ fn hundred_thousand_node_disk_outpaces_real_time() {
     };
     let release = !cfg!(debug_assertions);
     let real_time = Duration::from_secs_f64(HORIZON_S);
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     // TDMA cell: sequential faster than real time, unconditionally.
     // 20 ms slots x 128: enough slots for the distance-2 coloring at
@@ -94,39 +89,13 @@ fn hundred_thousand_node_disk_outpaces_real_time() {
         );
     }
 
-    // LPL cell: the strobe-storm workload the sharded engine is for.
+    // LPL cell: the strobe-storm workload, timed for the record.
     let xmac = XmacSim::new(Seconds::from_millis(500.0));
     let t = Instant::now();
-    let sequential = build(&xmac).run();
-    let seq_wall = t.elapsed();
-    let t = Instant::now();
-    let sharded = build(&xmac).with_shards(4).run();
-    let par_wall = t.elapsed();
-    let speedup = seq_wall.as_secs_f64() / par_wall.as_secs_f64();
+    let report = build(&xmac).run();
     eprintln!(
-        "xmac sequential: {seq_wall:.2?}; 4 shards: {par_wall:.2?}; \
-         speedup {speedup:.2}x on {cores} core(s)"
+        "xmac sequential: {:.2?} for {HORIZON_S}s simulated, {} packets delivered",
+        t.elapsed(),
+        report.delivered_count()
     );
-
-    // The report itself is checked for bit-identity by the
-    // shard-equivalence matrix; here only the cheap invariant, so a
-    // synchronization bug cannot hide behind a fast wrong answer.
-    assert_eq!(
-        sequential.delivered_count(),
-        sharded.delivered_count(),
-        "sharded delivered count diverged"
-    );
-
-    if release && cores >= 4 {
-        assert!(
-            par_wall < real_time,
-            "4-shard 100k-node X-MAC run slower than real time on {cores} cores: {par_wall:.2?}"
-        );
-        assert!(
-            speedup >= 3.0,
-            "expected >= 3x speedup at 4 shards on {cores} cores, measured {speedup:.2}x"
-        );
-    } else {
-        eprintln!("xmac timing assertions skipped (release: {release}, cores: {cores} — need 4)");
-    }
 }

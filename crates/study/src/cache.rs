@@ -6,7 +6,7 @@
 //! coordinates), the per-cell seed, the solve requirements, the
 //! protocol name plus its derived [`ProtocolConfig`], the validation
 //! intent, and the schema/model versions ([`SchemaVersions`]) — and
-//! nothing it does not (thread count, shard count, grid position).
+//! nothing it does not (thread count, grid position).
 //! Two consequences, both load-bearing:
 //!
 //! * a model or schema change re-runs exactly the cells it
@@ -749,7 +749,7 @@ mod tests {
             let mut outcome = crate::solve_cell(cell, suite.model().as_ref(), reqs());
             if cell.index == 0 {
                 outcome.validation =
-                    crate::validate_cell(cell, &outcome, suite.as_ref(), Seconds::new(60.0), 1);
+                    crate::validate_cell(cell, &outcome, suite.as_ref(), Seconds::new(60.0));
             }
             let key = item_key(
                 &SchemaVersions::current(),

@@ -391,7 +391,6 @@ pub fn validate_cell(
     outcome: &CellOutcome,
     suite: &dyn ProtocolSuite,
     sim_horizon: Seconds,
-    shards: usize,
 ) -> Option<ValidationOutcome> {
     let (model_e, model_l, params) = outcome.nbs.clone()?;
     let protocol = suite.simulator(outcome.config.as_ref()?, &params);
@@ -402,10 +401,11 @@ pub fn validate_cell(
         seed: cell.seed,
         scheduling: WakeMode::Coarse,
     };
-    let sim = cell.scenario.simulation(protocol.as_ref(), config).ok()?;
-    // Sharding is pure execution strategy: the report is bit-identical
-    // for every shard count, so the artifacts cannot depend on it.
-    let report = sim.with_shards(shards).run();
+    let report = cell
+        .scenario
+        .simulation(protocol.as_ref(), config)
+        .ok()?
+        .run();
     let deepest = report.per_node().iter().map(|s| s.depth).max().unwrap_or(0);
     let sim_e = report.bottleneck_energy(Seconds::new(10.0)).value();
     // The model predicts `L = max_d L_d`. On rings every depth class is
@@ -499,7 +499,7 @@ mod tests {
         let ring = &cells[0];
         let suite = ProtocolRegistry::builtin().suite("X-MAC").unwrap();
         let out = solve_cell(ring, suite.model().as_ref(), reqs());
-        let v = validate_cell(ring, &out, suite.as_ref(), Seconds::new(600.0), 1)
+        let v = validate_cell(ring, &out, suite.as_ref(), Seconds::new(600.0))
             .expect("solved cell validates");
         assert!(
             v.err_e.is_finite() && v.err_e < 3.0,

@@ -108,11 +108,6 @@ pub struct StudyConfig {
     pub sim_horizon: Seconds,
     /// Worker threads (0 = one per available core).
     pub threads: usize,
-    /// Shard count for each validation simulation (1 = sequential).
-    /// The sharded engine is bit-identical to the sequential one, so
-    /// this trades wall-clock for threads without touching any
-    /// artifact byte.
-    pub shards: usize,
     /// The protocol panel, as registry names resolved against
     /// [`edmac_proto::ProtocolRegistry::builtin`] (default: the paper
     /// trio). Order is sweep order and artifact row order.
@@ -137,7 +132,6 @@ impl StudyConfig {
             validate_every,
             sim_horizon: Seconds::new(600.0),
             threads: 0,
-            shards: 1,
             protocols: edmac_proto::PAPER_TRIO
                 .iter()
                 .map(|s| s.to_string())

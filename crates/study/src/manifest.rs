@@ -190,7 +190,6 @@ impl Manifest {
         let _ = writeln!(out, "    \"validate_every\": {},", c.validate_every);
         let _ = writeln!(out, "    \"sim_horizon_s\": {:?},", c.sim_horizon.value());
         let _ = writeln!(out, "    \"threads\": {},", c.threads);
-        let _ = writeln!(out, "    \"shards\": {},", c.shards);
         let _ = writeln!(
             out,
             "    \"protocols\": [{}],",
@@ -302,7 +301,6 @@ fn parse_manifest(text: &str) -> ParseResult<Manifest> {
         validate_every: c.usize_("validate_every")?,
         sim_horizon: Seconds::new(c.f64_("sim_horizon_s")?),
         threads: c.usize_("threads")?,
-        shards: c.usize_("shards")?,
         protocols,
         cache_dir: c.opt_str("cache_dir")?.map(PathBuf::from),
     };

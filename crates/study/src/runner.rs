@@ -141,12 +141,11 @@ fn verify_resume(
     keys: &[CacheKey],
 ) -> io::Result<()> {
     let err = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidData, msg));
-    // Threads and shards are execution knobs, proven byte-invariant
+    // The thread count is an execution knob, proven byte-invariant
     // (see the invariance tests below) and absent from the content
-    // keys — a resume may legitimately pick different ones.
+    // keys — a resume may legitimately pick a different one.
     let mut pinned = existing.config.clone();
     pinned.threads = config.threads;
-    pinned.shards = config.shards;
     if pinned != *config {
         return err(format!(
             "manifest config does not match this run's config \
@@ -309,7 +308,7 @@ pub fn run_study(config: &StudyConfig, options: &RunOptions) -> io::Result<Study
                     let mut outcome = solve_cell(cell, model.as_ref(), config.requirements);
                     if validation_intent(config, grid_work).is_some() && outcome.solved() {
                         outcome.validation =
-                            validate_cell(cell, &outcome, suite, config.sim_horizon, config.shards);
+                            validate_cell(cell, &outcome, suite, config.sim_horizon);
                     }
                     if let Some(cache) = cache {
                         if let Err(e) = cache.store(&keys[work], &outcome) {
@@ -493,40 +492,37 @@ mod tests {
     }
 
     #[test]
-    fn smoke_run_is_shard_count_invariant() {
-        // The validation simulations are the only study stage that
-        // touches the sharded engine; a short horizon and a sparse
-        // stride keep this to a few sims while still proving the
-        // artifact bytes cannot depend on shard or worker count.
+    fn validated_smoke_run_is_thread_count_invariant() {
+        // A short horizon and a sparse stride keep this to a few
+        // validation sims while still proving the artifact bytes
+        // cannot depend on the worker count.
         let mut base = StudyConfig::smoke();
         base.validate_every = 16;
         base.sim_horizon = edmac_units::Seconds::new(60.0);
         base.threads = 1;
-        base.shards = 1;
         let reference = super::run_cells(&base);
         assert!(
             reference.iter().any(|o| o.validation.is_some()),
             "stride must validate at least one cell"
         );
-        for (threads, shards) in [(4, 1), (1, 3), (2, 4)] {
+        for threads in [4, 2] {
             let mut config = base.clone();
             config.threads = threads;
-            config.shards = shards;
             let outcomes = super::run_cells(&config);
             assert_eq!(
                 format!("{reference:?}"),
                 format!("{outcomes:?}"),
-                "outcomes must not depend on threads={threads} shards={shards}"
+                "outcomes must not depend on threads={threads}"
             );
             assert_eq!(
                 crate::cells_csv(&reference),
                 crate::cells_csv(&outcomes),
-                "study_cells.csv must not depend on threads={threads} shards={shards}"
+                "study_cells.csv must not depend on threads={threads}"
             );
             assert_eq!(
                 crate::validation_csv(&reference),
                 crate::validation_csv(&outcomes),
-                "study_validation.csv must not depend on threads={threads} shards={shards}"
+                "study_validation.csv must not depend on threads={threads}"
             );
         }
     }
@@ -679,6 +675,54 @@ mod tests {
             crate::cells_csv(&one_shot),
             crate::cells_csv(&resumed.outcomes),
             "resumed artifacts must match a one-shot run byte for byte"
+        );
+        assert_eq!(
+            crate::summary_json(&crate::summarize(&one_shot)),
+            crate::summary_json(&resumed.summary)
+        );
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A partial manifest in the older format, whose config still
+    /// carries `"shards": 2`, loads and resumes to one-shot bytes.
+    #[test]
+    fn legacy_manifest_with_shards_resumes_to_one_shot_bytes() {
+        let root = temp_root("legacy");
+        let mut config = StudyConfig::smoke();
+        config.validate_every = 0;
+        config.cache_dir = Some(root.join("cache"));
+        let manifest_path = root.join("manifest.json");
+        let options = |max_items| RunOptions {
+            manifest: Some(manifest_path.clone()),
+            max_items,
+            out_dir: Some(root.join("artifacts")),
+        };
+        run_study(&config, &options(Some(5))).unwrap();
+        let text = std::fs::read_to_string(&manifest_path).unwrap();
+        let threads = format!("    \"threads\": {},\n", config.threads);
+        assert!(text.contains(&threads) && !text.contains("\"shards\""));
+        let legacy = text.replace(&threads, &format!("{threads}    \"shards\": 2,\n"));
+        std::fs::write(&manifest_path, legacy).unwrap();
+
+        let loaded = Manifest::load(&manifest_path).unwrap();
+        assert_eq!(loaded.config, config);
+        assert_eq!(loaded.done(), 5);
+        let resumed = run_study(&loaded.config, &options(None)).unwrap();
+        let stats = resumed.cache.unwrap();
+        assert_eq!((stats.hits, stats.misses), (5, 7));
+        let rewritten = std::fs::read_to_string(&manifest_path).unwrap();
+        assert!(!rewritten.contains("\"shards\""), "{rewritten}");
+
+        let mut plain = config.clone();
+        plain.cache_dir = None;
+        let one_shot = super::run_cells(&plain);
+        assert_eq!(
+            crate::cells_csv(&one_shot),
+            crate::cells_csv(&resumed.outcomes)
+        );
+        assert_eq!(
+            crate::validation_csv(&one_shot),
+            crate::validation_csv(&resumed.outcomes)
         );
         assert_eq!(
             crate::summary_json(&crate::summarize(&one_shot)),

@@ -23,7 +23,7 @@ fn burst_cell_latency_band_tightens() {
     let model = suite.model();
     let out = solve_cell(&cell, model.as_ref(), reqs);
     assert!(out.solved(), "{:?}", out.infeasible);
-    let v = validate_cell(&cell, &out, suite.as_ref(), Seconds::new(600.0), 1)
+    let v = validate_cell(&cell, &out, suite.as_ref(), Seconds::new(600.0))
         .expect("solved cell validates");
 
     assert!(
