@@ -405,7 +405,7 @@ impl Scenario {
 /// `K` independent duty-cycled networks — each with its own sink,
 /// routing tree and derived seed — deployed side by side on **one
 /// shared channel**, so every network's transmissions are interference
-/// (or, on the binary channel, collision sources) in all the others.
+/// (or, on the unit disk, collision sources) in all the others.
 ///
 /// This is the workload the coexistence study cells bargain over:
 /// each network plans its MAC parameters for itself, but the channel
@@ -673,7 +673,7 @@ mod tests {
 
     #[test]
     fn coexistence_simulation_runs_one_report_per_network() {
-        use edmac_sim::{WakeMode, XmacSim};
+        use edmac_sim::XmacSim;
         let scenario = CoexistenceScenario::preset(2, 4.0);
         let xmac = XmacSim::new(Seconds::from_millis(100.0));
         let cfg = SimConfig {
@@ -681,7 +681,7 @@ mod tests {
             sample_period: Seconds::new(10.0),
             warmup: Seconds::new(5.0),
             seed: 3,
-            scheduling: WakeMode::Dense,
+            ..SimConfig::default()
         };
         let protocols: [&dyn SimProtocol; 2] = [&xmac, &xmac];
         assert!(

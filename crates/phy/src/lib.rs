@@ -1,15 +1,14 @@
 //! Physical-layer channel models for the ED-MAC simulator.
 //!
-//! The engine historically modelled the channel as a **binary
-//! unit-disk** graph: every node within distance 1 hears every frame,
-//! any overlap destroys the locked reception, and links are symmetric
-//! by construction. That is the degenerate end of a spectrum this
-//! crate makes explicit through the [`ChannelModel`] trait:
+//! The simplest channel is the **unit disk**: every node within
+//! distance 1 hears every frame, any overlap destroys the locked
+//! reception, and links are symmetric by construction. That is the
+//! degenerate end of a spectrum this crate makes explicit through the
+//! [`ChannelModel`] trait:
 //!
-//! * [`UnitDisk`] — the existing behavior, kept as the reference
-//!   implementation and the default everywhere. A simulation built
-//!   over `UnitDisk` is *bit-for-bit identical* to one built without a
-//!   channel model at all (the engine keeps its binary fast path).
+//! * [`UnitDisk`] — the reference model and the default everywhere.
+//!   The engine judges it with the same SINR decode rule as any other
+//!   model, over 1 mW links with capture off.
 //! * [`SinrChannel`] — log-distance path loss with per-directed-link
 //!   lognormal shadowing and a thermal noise floor. A reception is
 //!   decodable iff its SINR clears a capture threshold against the
@@ -51,9 +50,11 @@ pub fn mw_to_dbm(mw: f64) -> f64 {
 
 /// The SINR decode parameters a realized channel hands the engine.
 ///
-/// `None` from [`ChannelModel::sinr`] means the engine should keep its
-/// binary overlap-collision bookkeeping; `Some` switches it to
-/// power-accurate interference tracking.
+/// The engine judges every reception by these: a frame at or above
+/// `sensitivity_mw` locks subject to `capture`, and interference is
+/// the summed power of everything else on the air. A model without
+/// parameters of its own ([`ChannelModel::sinr`] returning `None`, the
+/// unit disk) is judged with no sensitivity floor and capture off.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SinrParams {
     /// Thermal noise floor, linear mW.
@@ -62,9 +63,8 @@ pub struct SinrParams {
     /// noise (counted, never locked onto).
     pub sensitivity_mw: f64,
     /// Capture threshold as a *linear* SINR ratio. `None` disables
-    /// capture: the receiver locks onto the first arrival exactly like
-    /// the binary engine, and any overlap while locked destroys the
-    /// frame. `Some(c)` engages full SINR gating: a frame locks (and
+    /// capture: the receiver locks onto the first arrival, and any
+    /// overlap while locked destroys the frame (the unit-disk rule). `Some(c)` engages full SINR gating: a frame locks (and
     /// stays decodable) only while its SINR against noise plus summed
     /// interference is at least `c`.
     pub capture: Option<f64>,
@@ -212,7 +212,8 @@ pub trait ChannelModel: std::fmt::Debug {
     fn realize(&self, positions: &[Point2], seed: u64) -> LinkField;
 
     /// The decode parameters the engine should run with, or `None` for
-    /// binary overlap-collision bookkeeping.
+    /// the unit-disk rule: every air link decodes, capture is off, and
+    /// reports carry no SINR diagnostic.
     fn sinr(&self) -> Option<SinrParams>;
 }
 
@@ -251,10 +252,10 @@ fn each_candidate_pair(positions: &[Point2], range: f64, mut visit: impl FnMut(u
 }
 
 /// The degenerate reference: every node within distance 1 hears every
-/// frame, any overlap destroys a locked reception, links are
-/// symmetric. A simulation built over `UnitDisk` keeps the engine's
-/// binary fast path and is byte-identical to one built with no channel
-/// model at all.
+/// frame at 1 mW, any overlap destroys a locked reception, links are
+/// symmetric. Realization uses `Topology::graph`'s spatial-hash
+/// discipline, so adjacency orders match it exactly; it is the channel
+/// `Simulation::build` runs on.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UnitDisk;
 
@@ -331,7 +332,7 @@ pub struct SinrChannel {
     pub sensitivity_dbm: f64,
     /// Capture threshold in dB (default `Some(6.0)`). `None` turns
     /// capture off: first-arrival locking and overlap-destroys, i.e.
-    /// the binary engine's decision rule over SINR-realized links.
+    /// the unit disk's decision rule over SINR-realized links.
     pub capture_db: Option<f64>,
     /// Links below this received power (dBm) are dropped from the
     /// field entirely (default −55: interference range ≈ 3.16 disk
@@ -355,9 +356,9 @@ impl Default for SinrChannel {
 }
 
 impl SinrChannel {
-    /// The configuration that reproduces [`UnitDisk`] exactly while
-    /// exercising the engine's SINR code path: σ = 0 (symmetric
-    /// links), capture off (binary lock/destroy decisions), and the
+    /// The configuration that reproduces [`UnitDisk`] exactly through
+    /// the SINR realization and its dBm arithmetic: σ = 0 (symmetric
+    /// links), capture off (unit-disk lock/destroy decisions), and the
     /// interference floor raised to the sensitivity threshold (air
     /// adjacency ≡ decode adjacency ≡ the unit-disk graph).
     pub fn degenerate() -> SinrChannel {

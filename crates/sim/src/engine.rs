@@ -1,5 +1,5 @@
-//! The simulation engine: event loop, radio state machine, unit-disk
-//! channel with collisions, timers and energy accounting.
+//! The simulation engine: event loop, radio state machine, the
+//! channel's decode rule, timers and energy accounting.
 //!
 //! # Execution
 //!
@@ -13,6 +13,14 @@
 //! ([`crate::OrderKey`]), so a node's evolution is a function of the
 //! seed, its own index and the events it receives — never of a
 //! run-global counter.
+//!
+//! # One decode path
+//!
+//! Every build realizes a [`LinkField`] — per-directed-link received
+//! powers — and every reception is judged by one SINR rule against the
+//! receiver's [`InterferenceTally`]. A unit disk is the special case of
+//! 1 mW links with capture off: the first arrival locks and any
+//! overlap destroys.
 
 use crate::events::Event;
 use crate::frame::{Frame, FrameKind, Packet, PacketId};
@@ -21,8 +29,8 @@ pub use crate::protocols::MacNode;
 use crate::queue::{CalendarQueue, EventQueue, OrderKey};
 use crate::report::{NodeStats, PacketRecord, SimReport};
 use crate::time::SimTime;
-use edmac_net::{NetError, NodeId, Point2, RoutingTree, Topology};
-use edmac_phy::{ChannelModel, InterferenceTally, LinkField, SinrParams};
+use edmac_net::{Graph, NetError, NodeId, RoutingTree, Topology};
+use edmac_phy::{ChannelModel, InterferenceTally, LinkField, SinrParams, UnitDisk};
 use edmac_radio::{Cause, EnergyLedger, FrameSizes, Mode, Radio};
 use edmac_units::Seconds;
 use rand::rngs::StdRng;
@@ -32,14 +40,20 @@ use std::collections::HashSet;
 /// How the engine schedules protocol clock ticks.
 ///
 /// Both modes produce byte-identical [`SimReport`]s (asserted by the
-/// `wake_equivalence` golden tests); `Dense` exists as the executable
-/// reference for that contract and for debugging schedule coarsening.
+/// `wake_equivalence` golden tests). `Coarse` is a request: the engine
+/// hands protocols `Coarse` only where the realized channel proves the
+/// replay exact (every node's air neighbors are its same-network decode
+/// neighbors and, under capture, a lone frame on a decode link clears
+/// capture against noise alone) and `Dense` otherwise. Setting `Dense`
+/// forces the reference schedule — the executable side of the
+/// equivalence contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WakeMode {
-    /// Event-coarse scheduling: nodes wake only for slots where they
-    /// transmit, may receive from a schedule-known neighbor, or must
-    /// sample the channel; elided idle ticks are replayed into the
-    /// energy ledger arithmetically ([`Ctx::replay_idle_wake`]).
+    /// Event-coarse scheduling where the channel allows it: nodes wake
+    /// only for slots where they transmit, may receive from a
+    /// schedule-known neighbor, or must sample the channel; elided
+    /// idle ticks are replayed into the energy ledger arithmetically
+    /// ([`Ctx::replay_idle_wake`]).
     #[default]
     Coarse,
     /// The reference schedule: every protocol tick becomes a wake-up,
@@ -61,7 +75,9 @@ pub struct SimConfig {
     /// its own decorrelated stream from `(seed, node index)`, so the
     /// draws a node sees do not depend on event interleaving.
     pub seed: u64,
-    /// Wake scheduling mode (default [`WakeMode::Coarse`]).
+    /// Wake scheduling mode (default [`WakeMode::Coarse`], which the
+    /// engine lowers to `Dense` wherever the realized channel makes the
+    /// coarse replay inexact; `Dense` forces the test reference).
     pub scheduling: WakeMode,
 }
 
@@ -163,11 +179,10 @@ struct RadioState {
 struct ActiveRx {
     tx_seq: u64,
     corrupted: bool,
-    /// Received power of the locked frame (mW; 0.0 on the binary
-    /// channel, which never reads it).
+    /// Received power of the locked frame (mW).
     signal_mw: f64,
-    /// Worst SINR the locked frame saw while on the air (∞ on the
-    /// binary channel).
+    /// Worst SINR the locked frame saw while on the air (read only by
+    /// the SINR diagnostic).
     min_sinr: f64,
     /// `true` if an interferer overlapped the locked frame and SINR
     /// capture rode it out — a decode under this flag is a *capture*.
@@ -186,24 +201,14 @@ impl ActiveRx {
     }
 }
 
-/// How the engine judges receptions.
-///
-/// `Binary` is the historical unit-disk rule (first arrival locks, any
-/// overlap destroys) and the default for every existing builder; its
-/// code paths are untouched by the SINR machinery, which is what keeps
-/// legacy runs byte-identical. `Sinr` carries per-directed-link
-/// received powers parallel to `Shared::neighbors` and the decode
-/// parameters from the realized [`ChannelModel`].
-#[derive(Debug)]
-enum ChannelKind {
-    Binary,
-    Sinr {
-        /// `rx_power[u][i]` = received power (mW) at
-        /// `neighbors[u][i]` of a frame transmitted by `u`.
-        rx_power: Vec<Vec<f64>>,
-        params: SinrParams,
-    },
-}
+/// The decode rule of a channel whose [`ChannelModel::sinr`] is `None`
+/// (the unit disk): no sensitivity floor, so every air link locks, and
+/// capture off, so any overlap destroys a locked frame.
+const DISK_DECODE: SinrParams = SinrParams {
+    noise_mw: 0.0,
+    sensitivity_mw: 0.0,
+    capture: None,
+};
 
 /// Decorrelates per-node RNG streams: two rounds of splitmix64 over
 /// `(seed, node)`.
@@ -229,12 +234,11 @@ struct NodeState {
     radio: RadioState,
     ledger: EnergyLedger,
     active_rx: Option<ActiveRx>,
-    air_count: u32,
-    /// Incremental total on-air power (SINR channel only; stays empty
-    /// and unread on the binary channel).
+    /// Frames on the air at this receiver and their summed power; the
+    /// count is what the CCA primitive reads.
     tally: InterferenceTally,
     /// Sum of per-decode SINRs in dB and the number of decodes behind
-    /// it (SINR channel only) — feeds `NodeStats::mean_sinr_db`.
+    /// it (SINR models only) — feeds `NodeStats::mean_sinr_db`.
     sinr_db_sum: f64,
     sinr_decoded: u64,
     counters: crate::frame::FrameCounters,
@@ -264,7 +268,6 @@ impl NodeState {
             },
             ledger: EnergyLedger::new(radio.power),
             active_rx: None,
-            air_count: 0,
             tally: InterferenceTally::new(),
             sinr_db_sum: 0.0,
             sinr_decoded: 0,
@@ -307,14 +310,17 @@ struct Shared {
     end: SimTime,
     radio_hw: Radio,
     frames: FrameSizes,
-    neighbors: Vec<Vec<NodeId>>,
+    /// The realized channel: its receivers are the *air* adjacency
+    /// every transmission fans out over (a superset of the decode
+    /// graph routing was built over).
+    field: LinkField,
+    /// The decode rule every reception is judged by.
+    decode: SinrParams,
+    /// Whether decodes sample their SINR into `mean_sinr_db` (models
+    /// with their own [`SinrParams`] only; the unit disk reports none).
+    sample_sinr: bool,
     parent: Vec<Option<NodeId>>,
     depth: Vec<usize>,
-    /// How receptions are judged; `ChannelKind::Binary` on every
-    /// legacy builder. Under `Sinr`, `neighbors` is the channel's
-    /// *air* adjacency (everyone who registers interference power), a
-    /// superset of the decode graph routing was built over.
-    channel: ChannelKind,
     /// The network each node belongs to (all 0 outside coexistence
     /// builds). Frames decode across networks — the radio cannot know
     /// better — but `on_frame` only fires for same-network traffic,
@@ -324,11 +330,10 @@ struct Shared {
     sinks: Vec<NodeId>,
     /// Each network's deepest hop distance, indexed by network id.
     max_depths: Vec<usize>,
-    sink: NodeId,
     config: SimConfig,
     /// `true` when every node runs a protocol that never samples the
-    /// channel (no CCA), letting the engine elide air events to
-    /// sleeping receivers.
+    /// channel (no CCA) over a unit disk, letting the engine elide air
+    /// events to sleeping receivers.
     cca_free: bool,
     /// Per-node traffic overriding [`SimConfig::sample_period`].
     traffic: Option<TrafficProfile>,
@@ -476,7 +481,7 @@ impl Ctx<'_> {
     /// Returns `true` if any in-range transmission is currently on the
     /// air (the CCA primitive).
     pub fn channel_busy(&self) -> bool {
-        self.run.nodes[self.node.index()].air_count > 0
+        self.run.nodes[self.node.index()].tally.count() > 0
     }
 
     /// Returns `true` if the radio is currently locked onto a frame.
@@ -620,24 +625,17 @@ impl Ctx<'_> {
 
         let start = now;
         let end = start.after(duration);
-        for i in 0..self.shared.neighbors[self.node.index()].len() {
-            let neighbor = self.shared.neighbors[self.node.index()][i];
-            let power_mw = match &self.shared.channel {
-                ChannelKind::Binary => 0.0,
-                ChannelKind::Sinr { rx_power, .. } => rx_power[self.node.index()][i],
-            };
+        let shared = self.shared;
+        for &(neighbor, power_mw) in shared.field.receivers(self.node) {
             // A receiver asleep at the first bit can never lock onto
             // the frame; the only residue of delivering its air events
-            // would be the `air_count` the CCA primitive reads. For a
+            // would be the tally count the CCA primitive reads. For a
             // protocol that never samples the channel (LMAC), that
-            // residue is unobservable, so the pair is elided. On the
-            // SINR channel the pair always ships: its power contributes
-            // to the interference every *later*-locked frame at this
-            // receiver is judged against.
-            if matches!(self.shared.channel, ChannelKind::Binary)
-                && self.shared.cca_free
-                && self.run.nodes[neighbor.index()].radio.mode == Mode::Sleep
-            {
+            // residue is unobservable on the unit disk, so the pair is
+            // elided. Under an SINR model the pair always ships: its
+            // power counts against every *later*-locked frame at this
+            // receiver.
+            if shared.cca_free && self.run.nodes[neighbor.index()].radio.mode == Mode::Sleep {
                 continue;
             }
             let k1 = self.next_key(start);
@@ -850,73 +848,48 @@ fn dispatch(shared: &Shared, run: &mut RunState, round: u32, event: Event) {
         } => {
             let now = run.now;
             let st = &mut run.nodes[node.index()];
-            st.air_count += 1;
-            match &shared.channel {
-                ChannelKind::Binary => match st.radio.mode {
-                    Mode::Listen => {
-                        if st.active_rx.is_none() {
-                            let cause = frame.kind.rx_cause(frame.addressed_to(node));
-                            st.set_mode(now, Mode::Rx, cause);
-                            st.active_rx = Some(ActiveRx::lock(tx_seq, 0.0, f64::INFINITY, false));
-                        } else if let Some(rx) = &mut st.active_rx {
-                            // A second in-range transmission: collision.
-                            rx.corrupted = true;
-                        }
-                    }
-                    Mode::Rx => {
-                        if let Some(rx) = &mut st.active_rx {
-                            rx.corrupted = true;
-                        }
-                    }
-                    Mode::Sleep | Mode::Startup | Mode::Tx => {}
-                },
-                ChannelKind::Sinr { params, .. } => {
-                    st.tally.add(power_mw);
-                    if let Some(rx) = &mut st.active_rx {
-                        // An interferer arrived over a locked frame:
-                        // with capture on, the lock survives while its
-                        // SINR clears the threshold; with capture off,
-                        // any overlap destroys it (the binary rule).
-                        // Corruption latches — a strong frame that
-                        // once dipped below threshold stays lost even
-                        // if the interferer ends first.
+            let params = &shared.decode;
+            st.tally.add(power_mw);
+            if let Some(rx) = &mut st.active_rx {
+                // An interferer arrived over a locked frame: with
+                // capture on, the lock survives while its SINR clears
+                // the threshold; with capture off, any overlap destroys
+                // it. Corruption latches — a strong frame that once
+                // dipped below threshold stays lost even if the
+                // interferer ends first.
+                match params.capture {
+                    Some(c) => {
                         let sinr = st.tally.sinr(rx.signal_mw, params.noise_mw);
-                        match params.capture {
-                            Some(c) => {
-                                rx.overlapped = true;
-                                rx.min_sinr = rx.min_sinr.min(sinr);
-                                if sinr < c {
-                                    rx.corrupted = true;
-                                }
-                            }
-                            None => rx.corrupted = true,
+                        rx.overlapped = true;
+                        rx.min_sinr = rx.min_sinr.min(sinr);
+                        if sinr < c {
+                            rx.corrupted = true;
                         }
-                    } else if st.radio.mode == Mode::Listen {
-                        if power_mw < params.sensitivity_mw {
-                            // Audible energy, undecodable signal: the
-                            // radio never syncs on it.
-                            st.counters.record_below_noise();
-                        } else {
-                            let sinr = st.tally.sinr(power_mw, params.noise_mw);
-                            let interference = st.tally.power_mw() - power_mw;
-                            let (locks, overlapped) = match params.capture {
-                                // Capture decides the lock against the
-                                // ongoing interference.
-                                Some(c) => (sinr >= c, interference > 0.0),
-                                // Capture off: first arrival locks
-                                // unconditionally, exactly like the
-                                // binary engine (a node waking into an
-                                // ongoing frame's tail still locks the
-                                // next arrival cleanly).
-                                None => (true, false),
-                            };
-                            if locks {
-                                let cause = frame.kind.rx_cause(frame.addressed_to(node));
-                                st.set_mode(now, Mode::Rx, cause);
-                                st.active_rx =
-                                    Some(ActiveRx::lock(tx_seq, power_mw, sinr, overlapped));
-                            }
-                        }
+                    }
+                    None => rx.corrupted = true,
+                }
+            } else if st.radio.mode == Mode::Listen {
+                if power_mw < params.sensitivity_mw {
+                    // Audible energy, undecodable signal: the radio
+                    // never syncs on it.
+                    st.counters.record_below_noise();
+                } else {
+                    let sinr = st.tally.sinr(power_mw, params.noise_mw);
+                    let interference = st.tally.power_mw() - power_mw;
+                    let (locks, overlapped) = match params.capture {
+                        // Capture decides the lock against the ongoing
+                        // interference.
+                        Some(c) => (sinr >= c, interference > 0.0),
+                        // Capture off: first arrival locks
+                        // unconditionally (a node waking into an
+                        // ongoing frame's tail still locks the next
+                        // arrival cleanly).
+                        None => (true, false),
+                    };
+                    if locks {
+                        let cause = frame.kind.rx_cause(frame.addressed_to(node));
+                        st.set_mode(now, Mode::Rx, cause);
+                        st.active_rx = Some(ActiveRx::lock(tx_seq, power_mw, sinr, overlapped));
                     }
                 }
             }
@@ -929,10 +902,7 @@ fn dispatch(shared: &Shared, run: &mut RunState, round: u32, event: Event) {
         } => {
             let now = run.now;
             let st = &mut run.nodes[node.index()];
-            st.air_count = st.air_count.saturating_sub(1);
-            if let ChannelKind::Sinr { .. } = &shared.channel {
-                st.tally.remove(power_mw);
-            }
+            st.tally.remove(power_mw);
             let finished = match &st.active_rx {
                 Some(rx) if rx.tx_seq == tx_seq => Some((rx.corrupted, rx.min_sinr, rx.overlapped)),
                 _ => None,
@@ -949,7 +919,7 @@ fn dispatch(shared: &Shared, run: &mut RunState, round: u32, event: Event) {
                     if overlapped {
                         st.counters.record_captured();
                     }
-                    if min_sinr.is_finite() {
+                    if shared.sample_sinr {
                         st.sinr_db_sum += 10.0 * min_sinr.log10();
                         st.sinr_decoded += 1;
                     }
@@ -1048,14 +1018,58 @@ fn finish(shared: &Shared, run: &mut RunState) {
 pub struct Simulation {
     shared: Shared,
     machines: Vec<Box<dyn MacNode>>,
-    protocol: &'static str,
-    /// Per-network protocol names (`vec![protocol]` outside
-    /// coexistence builds), indexed by network id.
+    /// Per-network protocol names, indexed by network id (one entry
+    /// outside coexistence builds).
     network_names: Vec<&'static str>,
 }
 
+/// The per-node factory of a scripted build.
+type MakeNode<'a> = &'a mut dyn FnMut(NodeId, &RoutingTree) -> Box<dyn MacNode>;
+
+/// Where one network of an assembly gets its state machines.
+enum Machines<'a> {
+    /// A protocol configuration's [`SimProtocol::build_nodes`].
+    Protocol(&'a dyn SimProtocol),
+    /// A scripted per-node factory under a display name.
+    Scripted(&'static str, MakeNode<'a>),
+}
+
+/// One network of an assembly.
+struct Member<'a> {
+    /// Node positions and sink, in the shared coordinate plane.
+    topology: &'a Topology,
+    /// The seed the network's `build_nodes` sees.
+    seed: u64,
+    machines: Machines<'a>,
+}
+
+/// Whether coarse wake replay is exact over a realized field: every
+/// node's air neighbors are exactly its decode neighbors, all in its
+/// own network — so no energy outside the schedule ever reaches a
+/// receiver — and every air link decodes a lone frame against noise
+/// alone, so a scheduled frame always locks under capture.
+fn replay_is_exact(
+    field: &LinkField,
+    decode: &Graph,
+    network_of: &[u32],
+    params: &SinrParams,
+) -> bool {
+    decode.nodes().all(|u| {
+        let air = field.receivers(u);
+        let net = network_of[u.index()];
+        air.len() == decode.degree(u)
+            && air
+                .iter()
+                .zip(decode.neighbors(u))
+                .all(|(&(v, power_mw), &w)| {
+                    v == w && network_of[v.index()] == net && params.decodable(power_mw, 0.0)
+                })
+    })
+}
+
 impl Simulation {
-    /// Builds a simulation over an explicit topology.
+    /// Builds a simulation over an explicit topology on the unit disk
+    /// ([`UnitDisk`]).
     ///
     /// The protocol is any [`SimProtocol`] configuration — the four
     /// built-in ones ([`XmacSim`](crate::XmacSim),
@@ -1075,19 +1089,7 @@ impl Simulation {
         protocol: &dyn SimProtocol,
         config: SimConfig,
     ) -> Result<Simulation, NetError> {
-        let graph = topology.graph();
-        let tree = RoutingTree::shortest_path(&graph, topology.sink())?;
-        let nodes = protocol.build_nodes(&graph, &tree, &config)?;
-        Simulation::assemble(
-            &graph,
-            &tree,
-            radio,
-            frames,
-            nodes,
-            protocol.name(),
-            config,
-            protocol.cca_free(),
-        )
+        Simulation::build_with_channel(topology, radio, frames, protocol, config, &UnitDisk)
     }
 
     /// Builds a simulation over the paper's ring topology (a geometric
@@ -1114,9 +1116,9 @@ impl Simulation {
         )
     }
 
-    /// Builds a simulation with *custom* per-node state machines — the
-    /// extension point for experimenting with new MAC protocols on the
-    /// same channel, radio and traffic substrate.
+    /// Builds a simulation with *custom* per-node state machines on the
+    /// unit disk — the extension point for experimenting with new MAC
+    /// protocols on the same channel, radio and traffic substrate.
     ///
     /// `make` is called once per node with its id and the routing tree.
     ///
@@ -1134,76 +1136,27 @@ impl Simulation {
         frames: FrameSizes,
         config: SimConfig,
         protocol_name: &'static str,
-        mut make: F,
+        make: F,
     ) -> Result<Simulation, NetError>
     where
         F: FnMut(NodeId, &RoutingTree) -> Box<dyn MacNode>,
     {
-        let graph = topology.graph();
-        let tree = RoutingTree::shortest_path(&graph, topology.sink())?;
-        let nodes: Vec<Box<dyn MacNode>> = graph.nodes().map(|u| make(u, &tree)).collect();
-        Simulation::assemble(
-            &graph,
-            &tree,
+        Simulation::with_nodes_and_channel(
+            topology,
             radio,
             frames,
-            nodes,
-            protocol_name,
             config,
-            false,
+            protocol_name,
+            &UnitDisk,
+            make,
         )
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn assemble(
-        graph: &edmac_net::Graph,
-        tree: &RoutingTree,
-        radio: Radio,
-        frames: FrameSizes,
-        nodes: Vec<Box<dyn MacNode>>,
-        protocol: &'static str,
-        config: SimConfig,
-        cca_free: bool,
-    ) -> Result<Simulation, NetError> {
-        let n = graph.len();
-        let neighbors: Vec<Vec<NodeId>> =
-            graph.nodes().map(|u| graph.neighbors(u).to_vec()).collect();
-        let parent: Vec<Option<NodeId>> = graph.nodes().map(|u| tree.parent(u)).collect();
-        let depth: Vec<usize> = graph.nodes().map(|u| tree.depth(u)).collect();
-        let max_depth = tree.max_depth();
-        let shared = Shared {
-            end: SimTime::from_seconds(config.duration),
-            radio_hw: radio,
-            frames,
-            neighbors,
-            parent,
-            depth,
-            channel: ChannelKind::Binary,
-            network_of: vec![0; n],
-            sinks: vec![tree.sink()],
-            max_depths: vec![max_depth],
-            sink: tree.sink(),
-            config,
-            cca_free,
-            traffic: None,
-        };
-        Ok(Simulation {
-            shared,
-            machines: nodes,
-            protocol,
-            network_names: vec![protocol],
-        })
-    }
-
-    /// Builds a simulation over an explicit [`ChannelModel`].
-    ///
-    /// With a model whose [`ChannelModel::sinr`] is `None` (the
-    /// [`UnitDisk`](edmac_phy::UnitDisk) reference) this is exactly
-    /// [`Simulation::build`]: the engine keeps its binary bookkeeping
-    /// and the run is byte-identical. A SINR model switches the engine
-    /// to power-accurate interference tracking: routing runs over the
-    /// model's decode graph, while air events fan out over the wider
-    /// interference adjacency with per-directed-link received powers.
+    /// Builds a simulation over an explicit [`ChannelModel`]: routing
+    /// runs over the model's decode graph, while air events fan out
+    /// over the wider interference adjacency with per-directed-link
+    /// received powers. [`Simulation::build`] is this over
+    /// [`UnitDisk`].
     ///
     /// # Errors
     ///
@@ -1218,22 +1171,12 @@ impl Simulation {
         config: SimConfig,
         channel: &dyn ChannelModel,
     ) -> Result<Simulation, NetError> {
-        let field = channel.realize(topology.positions(), config.seed);
-        let graph = field.decode_graph();
-        let tree = RoutingTree::shortest_path(&graph, topology.sink())?;
-        let nodes = protocol.build_nodes(&graph, &tree, &config)?;
-        let mut sim = Simulation::assemble(
-            &graph,
-            &tree,
-            radio,
-            frames,
-            nodes,
-            protocol.name(),
-            config,
-            protocol.cca_free(),
-        )?;
-        sim.install_channel(&field, channel.sinr());
-        Ok(sim)
+        let member = Member {
+            topology,
+            seed: config.seed,
+            machines: Machines::Protocol(protocol),
+        };
+        Simulation::compose(vec![member], radio, frames, channel, config)
     }
 
     /// [`Simulation::with_nodes`] over an explicit [`ChannelModel`]:
@@ -1257,44 +1200,12 @@ impl Simulation {
     where
         F: FnMut(NodeId, &RoutingTree) -> Box<dyn MacNode>,
     {
-        let field = channel.realize(topology.positions(), config.seed);
-        let graph = field.decode_graph();
-        let tree = RoutingTree::shortest_path(&graph, topology.sink())?;
-        let nodes: Vec<Box<dyn MacNode>> = graph.nodes().map(|u| make(u, &tree)).collect();
-        let mut sim = Simulation::assemble(
-            &graph,
-            &tree,
-            radio,
-            frames,
-            nodes,
-            protocol_name,
-            config,
-            false,
-        )?;
-        sim.install_channel(&field, channel.sinr());
-        Ok(sim)
-    }
-
-    /// Swaps the assembled binary adjacency for a realized SINR field:
-    /// `neighbors` becomes the air adjacency, with received powers
-    /// parallel to it. A `params` of `None` keeps the binary engine
-    /// (the decode graph the simulation was assembled over *is* the
-    /// field's adjacency in that case).
-    fn install_channel(&mut self, field: &LinkField, params: Option<SinrParams>) {
-        let Some(params) = params else { return };
-        let n = self.machines.len();
-        let mut neighbors = Vec::with_capacity(n);
-        let mut rx_power = Vec::with_capacity(n);
-        for u in 0..n {
-            let links = field.receivers(NodeId::new(u));
-            neighbors.push(links.iter().map(|&(v, _)| v).collect());
-            rx_power.push(links.iter().map(|&(_, p)| p).collect());
-        }
-        self.shared.neighbors = neighbors;
-        self.shared.channel = ChannelKind::Sinr { rx_power, params };
-        // The CCA-free air-pair elision reasons over binary decode
-        // semantics; interference power must always ship.
-        self.shared.cca_free = false;
+        let member = Member {
+            topology,
+            seed: config.seed,
+            machines: Machines::Scripted(protocol_name, &mut make),
+        };
+        Simulation::compose(vec![member], radio, frames, channel, config)
     }
 
     /// Number of nodes, sink included.
@@ -1336,7 +1247,7 @@ impl Simulation {
             .periods
             .iter()
             .enumerate()
-            .filter(|&(i, _)| NodeId::new(i) != self.shared.sink)
+            .filter(|&(i, _)| !self.shared.is_sink(NodeId::new(i)))
             .map(|(_, p)| p)
             .find(|p| !(p.is_finite() && p.value() > 0.0))
         {
@@ -1369,7 +1280,7 @@ impl Simulation {
     /// tree, protocol and derived seed, but all of them share one
     /// channel realized by `channel` over the union of their node
     /// positions — so a frame sent in one network is interference (or,
-    /// on the binary channel, a collision source) in every other.
+    /// on the unit disk, a collision source) in every other.
     ///
     /// Global node ids are assigned contiguously in network order.
     /// Cross-network frames are decoded by the radio (energy and
@@ -1390,41 +1301,74 @@ impl Simulation {
         channel: &dyn ChannelModel,
         config: SimConfig,
     ) -> Result<Simulation, NetError> {
-        if networks.is_empty() {
+        let members = networks
+            .iter()
+            .enumerate()
+            .map(|(k, net)| Member {
+                topology: net.topology,
+                // Each network runs under its own decorrelated seed, so
+                // e.g. LMAC's slot-assignment RNG differs per network.
+                seed: node_stream(config.seed ^ 0x0C0E_715E, k),
+                machines: Machines::Protocol(net.protocol),
+            })
+            .collect();
+        Simulation::compose(members, radio, frames, channel, config)
+    }
+
+    /// The one assembly behind every builder: realizes `channel` over
+    /// the union of the members' positions (global ids contiguous in
+    /// member order), routes each member over its own decode graph,
+    /// derives the wake mode from the field, and builds the machines.
+    fn compose(
+        members: Vec<Member<'_>>,
+        radio: Radio,
+        frames: FrameSizes,
+        channel: &dyn ChannelModel,
+        config: SimConfig,
+    ) -> Result<Simulation, NetError> {
+        if members.is_empty() {
             return Err(NetError::InvalidParameter {
                 name: "networks",
                 reason: "a coexistence simulation needs at least one network".to_string(),
             });
         }
-        let mut positions: Vec<Point2> = Vec::new();
-        let mut offsets = Vec::with_capacity(networks.len());
-        for net in networks {
-            offsets.push(positions.len());
-            positions.extend_from_slice(net.topology.positions());
+        let mut positions = Vec::new();
+        let mut network_of = Vec::new();
+        for (k, member) in members.iter().enumerate() {
+            positions.extend_from_slice(member.topology.positions());
+            network_of.resize(positions.len(), k as u32);
         }
         let n = positions.len();
         let field = channel.realize(&positions, config.seed);
         let decode = field.decode_graph();
+        let sinr = channel.sinr();
+        let params = sinr.unwrap_or(DISK_DECODE);
+        let scheduling = if config.scheduling == WakeMode::Coarse
+            && replay_is_exact(&field, &decode, &network_of, &params)
+        {
+            WakeMode::Coarse
+        } else {
+            WakeMode::Dense
+        };
 
-        let mut network_of = vec![0u32; n];
         let mut parent: Vec<Option<NodeId>> = vec![None; n];
         let mut depth = vec![0usize; n];
-        let mut sinks = Vec::with_capacity(networks.len());
-        let mut max_depths = Vec::with_capacity(networks.len());
-        let mut network_names = Vec::with_capacity(networks.len());
+        let mut sinks = Vec::with_capacity(members.len());
+        let mut max_depths = Vec::with_capacity(members.len());
+        let mut network_names = Vec::with_capacity(members.len());
         let mut machines: Vec<Box<dyn MacNode>> = Vec::with_capacity(n);
-        for (k, net) in networks.iter().enumerate() {
-            let off = offsets[k];
-            let nk = net.topology.positions().len();
-            for slot in network_of.iter_mut().skip(off).take(nk) {
-                *slot = k as u32;
-            }
-            // The network's own decode graph: the realized field's
-            // edges restricted to its nodes, shifted to local ids.
-            // Neighbor lists keep their ascending order, so builders
-            // that iterate adjacency (LMAC's coloring) see exactly
-            // what a standalone realization would give them.
-            let mut local = edmac_net::Graph::with_nodes(nk);
+        // The air-pair elision is sound only where the tally it would
+        // skip feeds no decision: the unit disk, capture off.
+        let mut cca_free = sinr.is_none();
+        let mut off = 0;
+        for member in members {
+            let nk = member.topology.len();
+            // The member's own decode graph: the field's edges
+            // restricted to its nodes, shifted to local ids. Neighbor
+            // lists keep their ascending order, so builders that
+            // iterate adjacency (LMAC's coloring) see exactly what a
+            // standalone realization would give them.
+            let mut local = Graph::with_nodes(nk);
             for u in 0..nk {
                 for &v in decode.neighbors(NodeId::new(off + u)) {
                     let vi = v.index();
@@ -1433,57 +1377,54 @@ impl Simulation {
                     }
                 }
             }
-            let tree = RoutingTree::shortest_path(&local, net.topology.sink())?;
-            // Each network runs under its own decorrelated seed, so
-            // e.g. LMAC's slot-assignment RNG differs per network.
-            let mut net_config = config;
-            net_config.seed = node_stream(config.seed ^ 0x0C0E_715E, k);
-            machines.extend(net.protocol.build_nodes(&local, &tree, &net_config)?);
+            let tree = RoutingTree::shortest_path(&local, member.topology.sink())?;
+            let (name, built) = match member.machines {
+                Machines::Protocol(protocol) => {
+                    cca_free &= protocol.cca_free();
+                    let net_config = SimConfig {
+                        seed: member.seed,
+                        scheduling,
+                        ..config
+                    };
+                    let built = protocol.build_nodes(&local, &tree, &net_config)?;
+                    (protocol.name(), built)
+                }
+                Machines::Scripted(name, make) => {
+                    cca_free = false;
+                    (name, local.nodes().map(|u| make(u, &tree)).collect())
+                }
+            };
+            machines.extend(built);
             for u in 0..nk {
                 let lu = NodeId::new(u);
                 parent[off + u] = tree.parent(lu).map(|p| NodeId::new(off + p.index()));
                 depth[off + u] = tree.depth(lu);
             }
-            sinks.push(NodeId::new(off + net.topology.sink().index()));
+            sinks.push(NodeId::new(off + member.topology.sink().index()));
             max_depths.push(tree.max_depth());
-            network_names.push(net.protocol.name());
+            network_names.push(name);
+            off += nk;
         }
 
-        let params = channel.sinr();
-        let mut neighbors = Vec::with_capacity(n);
-        let mut rx_power = Vec::with_capacity(n);
-        for u in 0..n {
-            let links = field.receivers(NodeId::new(u));
-            neighbors.push(links.iter().map(|&(v, _)| v).collect::<Vec<_>>());
-            rx_power.push(links.iter().map(|&(_, p)| p).collect::<Vec<_>>());
-        }
-        let channel_kind = match params {
-            Some(params) => ChannelKind::Sinr { rx_power, params },
-            None => ChannelKind::Binary,
-        };
         let shared = Shared {
             end: SimTime::from_seconds(config.duration),
             radio_hw: radio,
             frames,
-            neighbors,
+            field,
+            decode: params,
+            sample_sinr: sinr.is_some(),
             parent,
             depth,
-            channel: channel_kind,
             network_of,
-            sink: sinks[0],
             sinks,
             max_depths,
             config,
-            // Cross-network traffic makes no receiver schedule-
-            // provably silent, so the CCA-free elision is never sound
-            // here.
-            cca_free: false,
+            cca_free,
             traffic: None,
         };
         Ok(Simulation {
             shared,
             machines,
-            protocol: network_names[0],
             network_names,
         })
     }
@@ -1511,10 +1452,10 @@ impl Simulation {
 
     /// Runs the simulation to completion and returns the report.
     pub fn run(self) -> SimReport {
-        let protocol = self.protocol;
+        let protocol = self.network_names[0];
         let (shared, run) = self.execute();
         let (per_node, records) = collect_results(&shared, run);
-        SimReport::new(protocol, shared.config, shared.sink, per_node, records)
+        SimReport::new(protocol, shared.config, shared.sinks[0], per_node, records)
     }
 
     /// Runs a coexistence simulation to completion and returns one
@@ -1588,6 +1529,7 @@ fn collect_results(shared: &Shared, run: RunState) -> (Vec<NodeStats>, Vec<Packe
 mod tests {
     use super::*;
     use crate::protocol::{LmacSim, XmacSim};
+    use edmac_phy::SinrChannel;
 
     fn tiny_config() -> SimConfig {
         SimConfig {
@@ -1635,6 +1577,35 @@ mod tests {
         let mut sink_zero = TrafficProfile::uniform(n, Seconds::new(10.0));
         sink_zero.periods[0] = Seconds::ZERO;
         assert!(build().with_traffic(sink_zero).is_ok());
+        // ... and so is every network's sink entry in a coexistence build.
+        let mut rng = StdRng::seed_from_u64(3);
+        let a = Topology::ring_model(2, 4, &mut rng).unwrap();
+        let b = Topology::ring_model(2, 4, &mut rng)
+            .unwrap()
+            .translated(10.0, 0.0);
+        let xmac = XmacSim::new(Seconds::from_millis(100.0));
+        let networks = [
+            CoexNetwork {
+                topology: &a,
+                protocol: &xmac,
+            },
+            CoexNetwork {
+                topology: &b,
+                protocol: &xmac,
+            },
+        ];
+        let coex = Simulation::coexistence(
+            &networks,
+            Radio::cc2420(),
+            FrameSizes::default(),
+            &UnitDisk,
+            tiny_config(),
+        )
+        .unwrap();
+        let mut sinks_zero = TrafficProfile::uniform(coex.node_count(), Seconds::new(10.0));
+        sinks_zero.periods[a.sink().index()] = Seconds::ZERO;
+        sinks_zero.periods[a.len() + b.sink().index()] = Seconds::ZERO;
+        assert!(coex.with_traffic(sinks_zero).is_ok());
         // Degenerate burst windows must be rejected, valid ones kept.
         for factor in [0.0, -2.0, f64::NAN] {
             let burst = TrafficProfile::uniform(n, Seconds::new(10.0)).with_bursts(BurstWindows {
@@ -1653,6 +1624,38 @@ mod tests {
     }
 
     #[test]
+    fn coarse_replay_is_derived_from_the_realized_field() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let topo = Topology::ring_model(2, 4, &mut rng).unwrap();
+        let exact = |channel: &dyn ChannelModel, network_of: &[u32]| {
+            let field = channel.realize(topo.positions(), 5);
+            let params = channel.sinr().unwrap_or(DISK_DECODE);
+            replay_is_exact(&field, &field.decode_graph(), network_of, &params)
+        };
+        let one = vec![0; topo.len()];
+        assert!(exact(&UnitDisk, &one));
+        assert!(exact(&SinrChannel::degenerate(), &one));
+        let flat = SinrChannel {
+            shadowing_sigma_db: 0.0,
+            ..SinrChannel::default()
+        };
+        assert!(!exact(&flat, &one), "interference past the decode range");
+        let short = SinrChannel {
+            interference_floor_dbm: flat.sensitivity_dbm,
+            ..flat
+        };
+        assert!(exact(&short, &one));
+        let deaf = SinrChannel {
+            capture_db: Some(25.0),
+            ..short
+        };
+        assert!(!exact(&deaf, &one), "a lone frame must clear capture");
+        let mut two = one.clone();
+        two[1] = 1;
+        assert!(!exact(&UnitDisk, &two), "another network in earshot");
+    }
+
+    #[test]
     fn lmac_rejects_undersized_frames() {
         let cfg = tiny_config();
         let protocol = LmacSim {
@@ -1665,61 +1668,40 @@ mod tests {
         ));
     }
 
+    fn xmac_ring(seed: u64) -> SimReport {
+        let cfg = SimConfig {
+            seed,
+            ..tiny_config()
+        };
+        Simulation::ring(2, 4, &XmacSim::new(Seconds::from_millis(80.0)), cfg)
+            .unwrap()
+            .run()
+    }
+
+    fn energies(report: &SimReport) -> Vec<f64> {
+        report
+            .per_node()
+            .iter()
+            .map(|s| s.breakdown.total().value())
+            .collect()
+    }
+
     #[test]
     fn identical_seeds_reproduce_runs() {
-        let run = |seed: u64| {
-            let cfg = SimConfig {
-                seed,
-                scheduling: WakeMode::Coarse,
-                ..tiny_config()
-            };
-            Simulation::ring(2, 4, &XmacSim::new(Seconds::from_millis(80.0)), cfg)
-                .unwrap()
-                .run()
-        };
-        let a = run(42);
-        let b = run(42);
+        let (a, b) = (xmac_ring(42), xmac_ring(42));
         assert_eq!(a.delivery_ratio(), b.delivery_ratio());
         assert_eq!(a.delivered_count(), b.delivered_count());
-        let ea: Vec<f64> = a
-            .per_node()
-            .iter()
-            .map(|s| s.breakdown.total().value())
-            .collect();
-        let eb: Vec<f64> = b
-            .per_node()
-            .iter()
-            .map(|s| s.breakdown.total().value())
-            .collect();
-        assert_eq!(ea, eb, "energy accounting must be bit-identical");
+        assert_eq!(
+            energies(&a),
+            energies(&b),
+            "energy accounting must be bit-identical"
+        );
     }
 
     #[test]
     fn different_seeds_differ() {
-        let run = |seed: u64| {
-            let cfg = SimConfig {
-                seed,
-                scheduling: WakeMode::Coarse,
-                ..tiny_config()
-            };
-            Simulation::ring(2, 4, &XmacSim::new(Seconds::from_millis(80.0)), cfg)
-                .unwrap()
-                .run()
-        };
-        let a = run(1);
-        let b = run(2);
         // Phases differ, so per-node energies will not be identical.
-        let ea: Vec<f64> = a
-            .per_node()
-            .iter()
-            .map(|s| s.breakdown.total().value())
-            .collect();
-        let eb: Vec<f64> = b
-            .per_node()
-            .iter()
-            .map(|s| s.breakdown.total().value())
-            .collect();
-        assert_ne!(ea, eb);
+        assert_ne!(energies(&xmac_ring(1)), energies(&xmac_ring(2)));
     }
 
     #[test]

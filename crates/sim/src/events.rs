@@ -23,8 +23,7 @@ pub(crate) enum Event {
     RadioReady { node: NodeId, token: u64 },
     /// A frame's first bit arrives at `node` (propagation is treated as
     /// instantaneous at these ranges). `power_mw` is the received power
-    /// over this directed link; the binary channel carries `0.0` and
-    /// never reads it.
+    /// over this directed link (1 mW on the unit disk).
     AirStart {
         node: NodeId,
         tx_seq: u64,

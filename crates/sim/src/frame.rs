@@ -137,14 +137,14 @@ impl FrameCounters {
     }
 
     /// Receptions at this node that were *destroyed* by overlapping
-    /// transmissions: binary-channel overlap, or SINR dipping below
-    /// the capture threshold.
+    /// transmissions: any overlap with capture off (the unit disk), or
+    /// SINR dipping below the capture threshold.
     pub fn collisions(&self) -> u64 {
         self.collisions
     }
 
     /// Receptions that survived an overlap because SINR capture rode
-    /// it out. Always 0 on the binary channel and with capture off;
+    /// it out. Always 0 with capture off (as on the unit disk);
     /// every captured frame is also counted in [`rx`](Self::rx).
     pub fn captured(&self) -> u64 {
         self.captured

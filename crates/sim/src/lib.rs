@@ -4,8 +4,11 @@
 //! analysis, whose credibility rested on packet-level validation. This
 //! crate rebuilds that evidence chain: a discrete-event simulator with
 //!
-//! * a unit-disk channel with **collisions** (overlapping in-range
-//!   transmissions corrupt each other at a listening receiver),
+//! * a channel with **collisions**, judged by one SINR decode rule
+//!   over a realized [`edmac_phy::LinkField`]: on the default unit
+//!   disk overlapping in-range transmissions corrupt each other at a
+//!   listening receiver; an [`edmac_phy::SinrChannel`] adds path loss,
+//!   shadowing and capture,
 //! * a five-state **radio** (sleep / startup / listen / rx / tx) whose
 //!   transitions charge an [`EnergyLedger`](edmac_radio::EnergyLedger)
 //!   using the same power profiles and cause taxonomy as the analytical

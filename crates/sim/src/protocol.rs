@@ -35,8 +35,9 @@ pub trait SimProtocol: std::fmt::Debug + Send + Sync {
 
     /// `true` when every node of this protocol *never* samples the
     /// channel (no CCA). The engine then elides air events to sleeping
-    /// receivers — the only observable residue of delivering them
-    /// would be the `air_count` the CCA primitive reads.
+    /// receivers on the unit disk — the only observable residue of
+    /// delivering them would be the on-air count the CCA primitive
+    /// reads.
     fn cca_free(&self) -> bool {
         false
     }

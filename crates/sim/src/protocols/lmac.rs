@@ -31,8 +31,13 @@
 //!
 //! Under [`WakeMode::Coarse`] the node schedules wakes only for the
 //! first class and replays the rest; under [`WakeMode::Dense`] it
-//! wakes at every boundary like the original engine. Both produce
-//! bit-identical reports (the `wake_equivalence` golden tests).
+//! wakes at every boundary like the original engine. The replay
+//! assumes the only energy reaching a node comes from its
+//! schedule-known decode neighbors, so the engine hands LMAC `Coarse`
+//! only when the realized channel proves that (no interference-only
+//! links, no other network in range); elsewhere it runs `Dense`. Both
+//! produce bit-identical reports (the `wake_equivalence` golden
+//! tests).
 
 use crate::engine::{Ctx, MacNode, WakeMode};
 use crate::frame::{Frame, FrameKind, Packet};

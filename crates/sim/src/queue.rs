@@ -97,8 +97,8 @@ impl<T> Ord for Entry<T> {
 
 /// The reference implementation: `BinaryHeap<Reverse<_>>`, exactly the
 /// structure both engine queues used before the calendar queue. Kept
-/// as the oracle for the property tests and as a fallback should a
-/// workload ever degenerate the calendar layout.
+/// as the pop-order oracle for the property tests; the engine itself
+/// always runs the [`CalendarQueue`].
 #[derive(Debug)]
 pub struct HeapQueue<T> {
     heap: BinaryHeap<Reverse<Entry<T>>>,

@@ -21,8 +21,8 @@ pub struct NodeStats {
     /// Frame-level accounting (transmissions, receptions, collisions).
     pub counters: FrameCounters,
     /// Mean SINR (dB) of the frames this node decoded, using each
-    /// frame's *worst* SINR while on the air. `None` on the binary
-    /// channel or when nothing was decoded. Decodes replayed by
+    /// frame's *worst* SINR while on the air. `None` on the unit disk
+    /// (which has no SINR model) or when nothing was decoded. Decodes replayed by
     /// coarse-mode wake elisions (e.g. LMAC control sections) happen
     /// outside the event path and contribute no sample.
     pub mean_sinr_db: Option<f64>,
@@ -276,7 +276,7 @@ impl SimReport {
     /// in the style of [`delay_stats_by_depth`](Self::delay_stats_by_depth):
     /// one `(depth, mean dB, nodes reporting)` row per depth class
     /// (sink's class 0 included) in which at least one node decoded a
-    /// frame on the SINR channel. Empty on the binary channel.
+    /// frame under an SINR model. Empty on the unit disk.
     pub fn sinr_by_depth(&self) -> Vec<(usize, f64, usize)> {
         let deepest = self.per_node.iter().map(|s| s.depth).max().unwrap_or(0);
         (0..=deepest)

@@ -1,35 +1,35 @@
-//! The degenerate-channel contract: building a simulation over
-//! [`UnitDisk`] — or over [`SinrChannel::degenerate`], which drives the
-//! engine's *SINR* code path with σ = 0, capture off, and the
-//! interference floor raised to the sensitivity threshold — must
-//! reproduce the historical binary engine **bit for bit**, across the
-//! same wake-mode matrix `wake_equivalence.rs` pins.
+//! The degenerate-channel oracle: [`SinrChannel::degenerate`] — σ = 0,
+//! capture off, and the interference floor raised to the sensitivity
+//! threshold — must reproduce the unit disk ([`Simulation::build`])
+//! **bit for bit**. Both run the engine's one decode path; what this
+//! pins is that the SINR realization and its dBm arithmetic land on
+//! exactly the unit disk's links and decisions. Wake modes are
+//! `wake_equivalence.rs`'s business.
 //!
 //! One diagnostic is deliberately outside the contract:
-//! `NodeStats::mean_sinr_db` is `None` on the binary channel and
-//! populated on the SINR path (the degenerate run *measures* the SINR
-//! it never acts on). Everything the existing goldens look at —
-//! counters, energies, busy times, packet records — must be identical.
+//! `NodeStats::mean_sinr_db` is `None` on the unit disk and populated
+//! under an SINR model (the degenerate run *measures* the SINR it
+//! never acts on). Everything the goldens look at — counters,
+//! energies, busy times, packet records — must be identical.
 
 use edmac_net::{NetError, RoutingTree, Topology};
-use edmac_phy::{SinrChannel, UnitDisk};
+use edmac_phy::SinrChannel;
 use edmac_radio::{Cause, FrameSizes, Radio};
 use edmac_sim::{
-    DmacSim, LmacSim, MacNode, ScpSim, SimConfig, SimProtocol, SimReport, Simulation, WakeMode,
-    XmacSim,
+    DmacSim, LmacSim, MacNode, ScpSim, SimConfig, SimProtocol, SimReport, Simulation, XmacSim,
 };
 use edmac_units::Seconds;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn config(seed: u64, scheduling: WakeMode) -> SimConfig {
+fn config(seed: u64) -> SimConfig {
     SimConfig {
         duration: Seconds::new(60.0),
         sample_period: Seconds::new(15.0),
         warmup: Seconds::new(10.0),
         seed,
-        scheduling,
+        ..SimConfig::default()
     }
 }
 
@@ -45,7 +45,7 @@ fn protocols() -> [Box<dyn SimProtocol>; 4] {
     ]
 }
 
-/// Bitwise equality of everything the binary engine reports; the SINR
+/// Bitwise equality of everything the unit disk reports; the SINR
 /// diagnostic (`mean_sinr_db`) is checked by the caller, not here.
 fn assert_identical(a: &SimReport, b: &SimReport, label: &str) {
     assert_eq!(a.per_node().len(), b.per_node().len(), "{label}: nodes");
@@ -74,8 +74,8 @@ fn assert_identical(a: &SimReport, b: &SimReport, label: &str) {
     }
 }
 
-/// Runs the binary reference and both degenerate channel builds over
-/// one topology × protocol × mode cell.
+/// Runs the unit disk and the degenerate channel over one topology ×
+/// protocol cell.
 fn assert_degenerate_cell(
     topo: &Topology,
     protocol: &dyn SimProtocol,
@@ -84,14 +84,10 @@ fn assert_degenerate_cell(
 ) {
     let radio = Radio::cc2420();
     let frames = FrameSizes::default();
-    let reference = Simulation::build(topo, radio, frames, protocol, cfg)
+    let disk = Simulation::build(topo, radio, frames, protocol, cfg)
         .expect("buildable")
         .run();
-    let disk = Simulation::build_with_channel(topo, radio, frames, protocol, cfg, &UnitDisk)
-        .expect("buildable")
-        .run();
-    assert_identical(&disk, &reference, &format!("{label} unit-disk"));
-    // UnitDisk keeps the binary engine: the SINR diagnostic stays off.
+    // The unit disk has no SINR model: the diagnostic stays off.
     assert!(disk.per_node().iter().all(|s| s.mean_sinr_db.is_none()));
     let degenerate = Simulation::build_with_channel(
         topo,
@@ -103,9 +99,9 @@ fn assert_degenerate_cell(
     )
     .expect("buildable")
     .run();
-    assert_identical(&degenerate, &reference, &format!("{label} degenerate"));
-    // The degenerate run rides the SINR path: event-path decodes carry
-    // a (finite) SINR sample. Coarse-mode replay elisions (LMAC's
+    assert_identical(&degenerate, &disk, &format!("{label} degenerate"));
+    // The degenerate run is an SINR model: event-path decodes carry a
+    // (finite) SINR sample. Coarse-mode replay elisions (LMAC's
     // control sections) decode outside the event loop and contribute no
     // sample, so the claim is existential per report, universal per
     // value — and the capture/below-noise counters stayed at zero
@@ -126,30 +122,28 @@ fn assert_degenerate_cell(
 }
 
 #[test]
-fn degenerate_channel_matches_binary_on_ring_matrix() {
+fn degenerate_channel_matches_unit_disk_on_rings() {
+    let mut rng = StdRng::seed_from_u64(7);
+    let topo = Topology::ring_model(3, 4, &mut rng).expect("buildable ring");
     for protocol in &protocols() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let topo = Topology::ring_model(3, 4, &mut rng).expect("buildable ring");
-        for mode in [WakeMode::Coarse, WakeMode::Dense] {
-            assert_degenerate_cell(
-                &topo,
-                protocol.as_ref(),
-                config(7, mode),
-                &format!("{} ring {mode:?}", protocol.name()),
-            );
-        }
+        assert_degenerate_cell(
+            &topo,
+            protocol.as_ref(),
+            config(7),
+            &format!("{} ring", protocol.name()),
+        );
     }
 }
 
 #[test]
-fn degenerate_channel_matches_binary_on_disks() {
+fn degenerate_channel_matches_unit_disk_on_disks() {
     let mut rng = StdRng::seed_from_u64(33);
     let topo = Topology::uniform_disk(30, 2.0, &mut rng).expect("connected disk");
     for protocol in &protocols() {
         assert_degenerate_cell(
             &topo,
             protocol.as_ref(),
-            config(11, WakeMode::Coarse),
+            config(11),
             &format!("{} disk", protocol.name()),
         );
     }
@@ -159,25 +153,23 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Random disk topologies and seeds: the degenerate channel must
-    /// track the binary engine bit-for-bit wherever both build.
+    /// track the unit disk bit-for-bit wherever both build.
     #[test]
     fn degenerate_equivalence_holds_on_random_disks(
         topo_seed in 0u64..1_000,
         run_seed in 0u64..1_000,
-        dense in any::<bool>(),
     ) {
         let mut rng = StdRng::seed_from_u64(topo_seed);
         // Some draws disconnect; those cells simply don't exist.
         if let Ok(topo) = Topology::uniform_disk(20, 2.0, &mut rng) {
-            let mode = if dense { WakeMode::Dense } else { WakeMode::Coarse };
             let protocol = XmacSim::new(Seconds::from_millis(100.0));
-            let mut cfg = config(run_seed, mode);
+            let mut cfg = config(run_seed);
             cfg.duration = Seconds::new(40.0);
             assert_degenerate_cell(
                 &topo,
                 &protocol,
                 cfg,
-                &format!("proptest topo={topo_seed} seed={run_seed} {mode:?}"),
+                &format!("proptest topo={topo_seed} seed={run_seed}"),
             );
         }
     }
@@ -185,8 +177,8 @@ proptest! {
 
 /// Scripted-node SINR semantics are in `engine_sinr.rs`; here we pin
 /// one structural consequence of the degenerate configuration that the
-/// bitwise matrix cannot see: the SINR build *is* running the SINR
-/// bookkeeping (not silently falling back to binary).
+/// bitwise matrix cannot see: the σ = 0 dB arithmetic puts the decode
+/// boundary exactly on the unit disk's.
 #[derive(Debug)]
 struct OneShot;
 
@@ -230,22 +222,22 @@ fn degenerate_build_rejects_out_of_range_links_exactly_at_the_disk_radius() {
             edmac_net::Point2::new(d, 0.0),
         ])
         .expect("two nodes always form a topology");
-        let binary = Simulation::build(
+        let disk = Simulation::build(
             &topo,
             Radio::cc2420(),
             FrameSizes::default(),
             &OneShot,
-            config(1, WakeMode::Coarse),
+            config(1),
         );
         let sinr = Simulation::build_with_channel(
             &topo,
             Radio::cc2420(),
             FrameSizes::default(),
             &OneShot,
-            config(1, WakeMode::Coarse),
+            config(1),
             &SinrChannel::degenerate(),
         );
-        assert_eq!(binary.is_ok(), expect_ok, "binary at d={d}");
+        assert_eq!(disk.is_ok(), expect_ok, "unit disk at d={d}");
         assert_eq!(sinr.is_ok(), expect_ok, "degenerate sinr at d={d}");
     }
 }

@@ -9,8 +9,14 @@
 //! packet record timestamp. The coarse scheduler is an optimization of
 //! the event loop, not of the simulated physics — any drift here is a
 //! bug in the skip/replay logic, not a tolerance question.
+//!
+//! Over an SINR channel the engine only honors a `Coarse` request when
+//! the realized field proves the replay exact; the channel inputs below
+//! pin that derivation, including fields (interference beyond the
+//! decode range) on which LMAC's coarse replay would otherwise diverge.
 
 use edmac_net::Topology;
+use edmac_phy::{ChannelModel, SinrChannel};
 use edmac_radio::{Cause, FrameSizes, Radio};
 use edmac_sim::{
     DmacSim, LmacSim, ScpSim, SimConfig, SimProtocol, SimReport, Simulation, WakeMode, XmacSim,
@@ -140,6 +146,89 @@ fn coarse_equals_dense_on_lines() {
             &run(WakeMode::Dense),
             &format!("{} line", protocol.name()),
         );
+    }
+}
+
+/// The SINR inputs: σ = 0 with capture on (interference reaches past
+/// the decode range), the same with capture off, the degenerate
+/// unit-disk twin, and capture on with the interference floor at the
+/// sensitivity threshold (air links ≡ decode links, so coarse replay
+/// runs under capture).
+fn sinr_channels() -> [(&'static str, SinrChannel); 4] {
+    let flat = SinrChannel {
+        shadowing_sigma_db: 0.0,
+        ..SinrChannel::default()
+    };
+    [
+        ("capture", flat),
+        (
+            "no-capture",
+            SinrChannel {
+                capture_db: None,
+                ..flat
+            },
+        ),
+        ("degenerate", SinrChannel::degenerate()),
+        (
+            "capture-short-floor",
+            SinrChannel {
+                interference_floor_dbm: flat.sensitivity_dbm,
+                ..flat
+            },
+        ),
+    ]
+}
+
+fn run_on_channel(
+    protocol: &dyn SimProtocol,
+    channel: &dyn ChannelModel,
+    seed: u64,
+    mode: WakeMode,
+) -> SimReport {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let topo = Topology::ring_model(3, 4, &mut rng).expect("buildable ring");
+    let cfg = SimConfig {
+        duration: Seconds::new(30.0),
+        ..config(seed, mode)
+    };
+    Simulation::build_with_channel(
+        &topo,
+        Radio::cc2420(),
+        FrameSizes::default(),
+        protocol,
+        cfg,
+        channel,
+    )
+    .expect("σ = 0 keeps the ring connected")
+    .run()
+}
+
+#[test]
+fn coarse_equals_dense_for_lmac_where_interference_outreaches_decode() {
+    // The first two inputs put energy past the decode range, which
+    // LMAC's schedule cannot see: a `Coarse` request must run dense.
+    let lmac = LmacSim::new(Seconds::from_millis(10.0));
+    for (label, channel) in &sinr_channels()[..2] {
+        assert_identical(
+            &run_on_channel(&lmac, channel, 7, WakeMode::Coarse),
+            &run_on_channel(&lmac, channel, 7, WakeMode::Dense),
+            &format!("LMAC {label}"),
+        );
+    }
+}
+
+#[test]
+fn coarse_equals_dense_on_sinr_fields_that_allow_coarse_replay() {
+    // The two inputs whose air links are exactly their decode links:
+    // here a `Coarse` request really runs coarse, capture on or off.
+    for (label, channel) in &sinr_channels()[2..] {
+        for protocol in &protocols() {
+            assert_identical(
+                &run_on_channel(protocol.as_ref(), channel, 11, WakeMode::Coarse),
+                &run_on_channel(protocol.as_ref(), channel, 11, WakeMode::Dense),
+                &format!("{} {label}", protocol.name()),
+            );
+        }
     }
 }
 
