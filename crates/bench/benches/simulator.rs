@@ -1,8 +1,13 @@
 //! Simulator throughput: short packet-level runs per protocol on the
-//! validation-scale ring (65 nodes).
+//! validation-scale ring (65 nodes), plus one two-network coexistence
+//! run on the shared SINR channel — the wide fan-out path, where every
+//! frame reaches ~20 receivers.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use edmac_core::CoexistenceScenario;
+use edmac_phy::SinrChannel;
 use edmac_sim::{DmacSim, LmacSim, SimConfig, SimProtocol, Simulation, WakeMode, XmacSim};
+use edmac_study::CoexistenceConfig;
 use edmac_units::Seconds;
 use std::hint::black_box;
 
@@ -56,5 +61,35 @@ fn build_only(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(simulator, protocols, build_only);
+fn coexistence(c: &mut Criterion) {
+    // The coexistence smoke geometry (two networks 2.5 range units
+    // apart), X-MAC next to LMAC at their reference operating points,
+    // on the study's flat (unshadowed) SINR channel.
+    let cfg = CoexistenceConfig::smoke();
+    let mut scenario = CoexistenceScenario::preset(cfg.networks, cfg.separation);
+    scenario.sample_period = cfg.sample_period;
+    let xmac = XmacSim::new(Seconds::from_millis(100.0));
+    let lmac = LmacSim::new(Seconds::from_millis(10.0));
+    let protocols: [&dyn SimProtocol; 2] = [&xmac, &lmac];
+    let channel = SinrChannel {
+        shadowing_sigma_db: 0.0,
+        ..SinrChannel::default()
+    };
+    let config = short_config(cfg.seed);
+    let mut group = c.benchmark_group("coexist_60s");
+    group.sample_size(10);
+    group.bench_function("smoke_xmac_lmac_sinr_flat", |b| {
+        b.iter(|| {
+            let sim = scenario
+                .simulation(black_box(&protocols), &channel, config)
+                .expect("realizable coexistence scenario");
+            let reports = sim.run_coexistence();
+            assert_eq!(reports.len(), 2);
+            reports
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(simulator, protocols, build_only, coexistence);
 criterion_main!(simulator);

@@ -94,9 +94,10 @@ impl SinrParams {
 
 /// Incremental tracker of total on-air power at one receiver.
 ///
-/// The engine keeps one per node and updates it on every `AirStart` /
-/// `AirEnd`, so a per-decode SINR check is O(1) instead of a rescan of
-/// concurrent transmissions. The count doubles as a float-drift guard:
+/// The engine keeps one per node and updates it whenever a frame's
+/// first or last bit reaches the node, so a per-decode SINR check is
+/// O(1) instead of a rescan of concurrent transmissions. The count
+/// doubles as a float-drift guard:
 /// when the last frame leaves the air the accumulated power snaps back
 /// to exactly `0.0`, so long runs cannot accumulate rounding residue
 /// that would perturb deterministic replay.
@@ -157,8 +158,8 @@ impl InterferenceTally {
 /// `receivers[u]` lists every node that registers energy from `u`'s
 /// transmissions (received power at or above the model's interference
 /// floor), in ascending receiver order, with the linear received power
-/// in mW. This is the engine's *air* adjacency, over which every
-/// transmission fans out its air events. The *decode* graph
+/// in mW. This is the engine's *air* adjacency: a transmission's air
+/// events walk it in this order. The *decode* graph
 /// is the symmetric subgraph where **both** directions clear the
 /// sensitivity threshold; routing trees are built over it.
 #[derive(Debug, Clone, Default)]

@@ -5,6 +5,11 @@
 //! [`OrderKey`]'s documented `(time, node order, sequence)` ordering,
 //! so there is exactly one tie-break rule in the engine.
 //!
+//! A transmission is one queue entry per edge of the frame's life, not
+//! one per receiver: `AirStart` and `AirEnd` carry the frame, and the
+//! engine walks the sender's air receivers inline when it dispatches
+//! them.
+//!
 //! [`CalendarQueue`]: crate::queue::CalendarQueue
 //! [`OrderKey`]: crate::queue::OrderKey
 
@@ -21,21 +26,19 @@ pub(crate) enum Event {
     /// The radio of `node` finishes its startup transition; `token`
     /// invalidates events from startups aborted by a `sleep()`.
     RadioReady { node: NodeId, token: u64 },
-    /// A frame's first bit arrives at `node` (propagation is treated as
-    /// instantaneous at these ranges). `power_mw` is the received power
-    /// over this directed link (1 mW on the unit disk).
-    AirStart {
-        node: NodeId,
-        tx_seq: u64,
-        frame: Frame,
-        power_mw: f64,
-    },
-    /// A frame's last bit leaves the air at `node`.
+    /// A frame's first bit arrives at every air receiver of its sender
+    /// `frame.src` (propagation is treated as instantaneous at these
+    /// ranges); each receiver hears it at its own link's received
+    /// power.
+    AirStart { tx_seq: u64, frame: Frame },
+    /// A frame's last bit leaves the air at the sender's air receivers
+    /// from index `from` on, in ascending id order. `from` is 0 except
+    /// on a walk resumed after a wake that a receiver's `on_frame`
+    /// registered for the same instant.
     AirEnd {
-        node: NodeId,
         tx_seq: u64,
         frame: Frame,
-        power_mw: f64,
+        from: u32,
     },
     /// `node` finishes transmitting its current frame.
     TxDone { node: NodeId },

@@ -71,5 +71,5 @@ pub use engine::{
 pub use frame::{Frame, FrameCounters, FrameKind, Packet, PacketId};
 pub use protocol::{DmacSim, LmacSim, ScpSim, SimProtocol, XmacSim};
 pub use queue::{CalendarQueue, EventQueue, HeapQueue, OrderKey};
-pub use report::{DepthDelayStats, NodeStats, PacketRecord, SimReport};
+pub use report::{DepthDelayStats, EngineStats, NodeStats, PacketRecord, SimReport};
 pub use time::SimTime;

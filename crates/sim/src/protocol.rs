@@ -33,15 +33,6 @@ pub trait SimProtocol: std::fmt::Debug + Send + Sync {
     /// [`SimReport`]: crate::SimReport
     fn name(&self) -> &'static str;
 
-    /// `true` when every node of this protocol *never* samples the
-    /// channel (no CCA). The engine then elides air events to sleeping
-    /// receivers on the unit disk — the only observable residue of
-    /// delivering them would be the on-air count the CCA primitive
-    /// reads.
-    fn cca_free(&self) -> bool {
-        false
-    }
-
     /// Builds one [`MacNode`] per node of `graph`, in node order.
     ///
     /// # Errors
@@ -183,10 +174,6 @@ impl SimProtocol for LmacSim {
         "LMAC"
     }
 
-    fn cca_free(&self) -> bool {
-        true
-    }
-
     fn build_nodes(
         &self,
         graph: &Graph,
@@ -321,18 +308,6 @@ mod tests {
         assert_eq!(l.frame_slots, 24);
         let s = ScpSim::new(Seconds::from_millis(250.0));
         assert_eq!(s.sync_period, Seconds::new(60.0));
-    }
-
-    #[test]
-    fn only_lmac_is_cca_free() {
-        let panel: [&dyn SimProtocol; 4] = [
-            &XmacSim::new(Seconds::from_millis(100.0)),
-            &DmacSim::new(Seconds::new(0.5)),
-            &LmacSim::new(Seconds::from_millis(10.0)),
-            &ScpSim::new(Seconds::from_millis(250.0)),
-        ];
-        let cca_free: Vec<bool> = panel.iter().map(|p| p.cca_free()).collect();
-        assert_eq!(cca_free, [false, false, true, false]);
     }
 
     #[test]

@@ -37,7 +37,9 @@ use std::collections::BinaryHeap;
 ///
 /// Keys are unique within a queue by construction (`seq` never
 /// repeats for a `node`), so the order is total and implementations
-/// need no stability guarantee beyond it.
+/// need no stability guarantee beyond it. The one re-use — the engine
+/// handing an interrupted `AirEnd` receiver walk back under the key it
+/// just popped — keeps that: the popped entry is gone by then.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OrderKey {
     /// Absolute firing time.
@@ -163,12 +165,15 @@ const RETUNE_WORK_FLOOR: u64 = 256;
 /// global minimum — slower, never wrong.
 ///
 /// Buckets are heaps rather than sorted vectors for one load-bearing
-/// reason: same-instant event storms. A strobe's zero-delay fan-out
-/// can cascade hundreds of entries onto a single instant, and every
-/// one of them lands in the same bucket *no matter how the width is
-/// tuned*; a sorted `Vec` pays an O(run) memmove per insert there
-/// (quadratic per storm), while a heap pays O(log run) and in the
-/// worst case merely degrades to exactly [`HeapQueue`]'s behavior.
+/// reason: same-instant clusters. Slot-synchronous schedules put many
+/// nodes' timers, radio startups and frames onto one instant (a dense
+/// TDMA slot boundary wakes a whole neighborhood at once), and every
+/// one of those entries lands in the same bucket *no matter how the
+/// width is tuned*; a sorted `Vec` pays an O(run) memmove per insert
+/// there (quadratic per cluster), while a heap pays O(log run) and in
+/// the worst case merely degrades to exactly [`HeapQueue`]'s behavior.
+/// (A transmission is no longer a cluster of its own: it queues one
+/// `AirStart` and one `AirEnd` however many nodes hear it.)
 ///
 /// The pop order is exactly [`OrderKey`]'s total order; the property
 /// tests in `crates/sim/tests/queue_properties.rs` assert it matches

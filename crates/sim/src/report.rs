@@ -1,6 +1,7 @@
 //! Simulation outputs: per-node energy and per-packet delivery records.
 
 use crate::engine::SimConfig;
+use crate::events::Event;
 use crate::frame::{FrameCounters, PacketId};
 use crate::time::SimTime;
 use edmac_net::NodeId;
@@ -74,6 +75,54 @@ pub struct DepthDelayStats {
     pub max: Seconds,
 }
 
+/// What the engine's event loop did over one run: queue entries
+/// popped, by event kind, and wakes fired.
+///
+/// A transmission costs one `AirStart` and one `AirEnd` entry however
+/// many receivers it reaches; an `AirEnd` walk handed back to the queue
+/// because a receiver's `on_frame` made a wake due at the same instant
+/// pops once more and is also counted in `air_end_resumed`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineStats {
+    /// `Generate` entries popped (application samples).
+    pub generate: u64,
+    /// `Timer` entries popped, cancelled timers included.
+    pub timer: u64,
+    /// `RadioReady` entries popped, stale startups included.
+    pub radio_ready: u64,
+    /// `AirStart` entries popped (one per transmitted frame).
+    pub air_start: u64,
+    /// `AirEnd` entries popped (one per transmitted frame, plus resumed
+    /// walks).
+    pub air_end: u64,
+    /// `TxDone` entries popped.
+    pub tx_done: u64,
+    /// `AirEnd` walks re-queued behind a same-instant wake.
+    pub air_end_resumed: u64,
+    /// Wakes fired through [`MacNode::on_wake`](crate::MacNode::on_wake).
+    pub wakes: u64,
+}
+
+impl EngineStats {
+    /// Counts one popped event-queue entry.
+    pub(crate) fn record(&mut self, event: &Event) {
+        let count = match event {
+            Event::Generate { .. } => &mut self.generate,
+            Event::Timer { .. } => &mut self.timer,
+            Event::RadioReady { .. } => &mut self.radio_ready,
+            Event::AirStart { .. } => &mut self.air_start,
+            Event::AirEnd { .. } => &mut self.air_end,
+            Event::TxDone { .. } => &mut self.tx_done,
+        };
+        *count += 1;
+    }
+
+    /// Event-queue entries popped, over all kinds (wakes excluded).
+    pub fn events(&self) -> u64 {
+        self.generate + self.timer + self.radio_ready + self.air_start + self.air_end + self.tx_done
+    }
+}
+
 /// The complete result of one simulation run.
 #[derive(Debug, Clone)]
 pub struct SimReport {
@@ -82,6 +131,7 @@ pub struct SimReport {
     sink: NodeId,
     per_node: Vec<NodeStats>,
     records: Vec<PacketRecord>,
+    engine: EngineStats,
 }
 
 impl SimReport {
@@ -91,6 +141,7 @@ impl SimReport {
         sink: NodeId,
         per_node: Vec<NodeStats>,
         records: Vec<PacketRecord>,
+        engine: EngineStats,
     ) -> SimReport {
         SimReport {
             protocol,
@@ -98,6 +149,7 @@ impl SimReport {
             sink,
             per_node,
             records,
+            engine,
         }
     }
 
@@ -119,6 +171,12 @@ impl SimReport {
     /// All packet records.
     pub fn records(&self) -> &[PacketRecord] {
         &self.records
+    }
+
+    /// The event loop's work over the run. The engine is shared, so
+    /// every report of a coexistence run carries the same counts.
+    pub fn engine_stats(&self) -> EngineStats {
+        self.engine
     }
 
     /// Packets created after warm-up (the statistical population).
@@ -380,6 +438,7 @@ mod tests {
             NodeId::new(0),
             vec![],
             records,
+            EngineStats::default(),
         )
     }
 
@@ -487,6 +546,7 @@ mod tests {
                 record(20.0, Some(26.0), 3),
                 record(25.0, None, 2), // lost: class 2 has no deliveries
             ],
+            EngineStats::default(),
         );
         let stats = r.delay_stats_by_depth();
         let depths: Vec<usize> = stats.iter().map(|s| s.depth).collect();
@@ -535,6 +595,7 @@ mod tests {
                 },
             ],
             vec![],
+            EngineStats::default(),
         );
         // Same epoch as duration: scale 1. The sink's 100 J must not win.
         assert_eq!(r.bottleneck_energy(Seconds::new(10.0)), Joules::new(1.0));

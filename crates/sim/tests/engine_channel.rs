@@ -3,8 +3,9 @@
 
 use edmac_net::{NodeId, Point2, Topology};
 use edmac_radio::{Cause, FrameSizes, Radio};
-use edmac_sim::{Ctx, Frame, FrameKind, MacNode, Packet, SimConfig, Simulation, WakeMode};
+use edmac_sim::{Ctx, Frame, FrameKind, MacNode, Packet, SimConfig, SimTime, Simulation, WakeMode};
 use edmac_units::Seconds;
+use std::sync::{Arc, Mutex};
 
 /// A node that wakes shortly before `tx_at` and transmits one data
 /// frame to `dst` at exactly that time; otherwise it sleeps.
@@ -263,4 +264,102 @@ fn energy_ledger_charges_the_scripted_activity() {
         (listen_j - expected_listen).abs() < 0.05 * expected_listen,
         "listener charged {listen_j} J, expected about {expected_listen} J"
     );
+}
+
+/// A star: the talker (and sink) at the centre, `k` listeners on a
+/// circle of radius 0.5 around it.
+fn star(k: usize) -> Topology {
+    let mut positions = vec![Point2::new(0.0, 0.0)];
+    positions.extend((0..k).map(|i| {
+        let angle = std::f64::consts::TAU * i as f64 / k as f64;
+        Point2::new(0.5 * angle.cos(), 0.5 * angle.sin())
+    }));
+    Topology::from_positions(positions).unwrap()
+}
+
+#[test]
+fn one_frame_costs_one_air_start_and_one_air_end_entry() {
+    for k in [1, 8] {
+        let report = build(&star(k), |id, _| match id.index() {
+            0 => Box::new(Talker {
+                tx_at: Seconds::new(1.0),
+                dst: NodeId::new(1),
+            }),
+            _ => Box::new(Listener {
+                from: Seconds::new(0.5),
+            }),
+        })
+        .run();
+        for listener in &report.per_node()[1..] {
+            assert_eq!(listener.counters.rx(FrameKind::Data), 1, "star of {k}");
+        }
+        let stats = report.engine_stats();
+        assert_eq!(stats.air_start, 1, "star of {k}: {stats:?}");
+        assert_eq!(stats.air_end, 1, "star of {k}: {stats:?}");
+        assert_eq!(stats.tx_done, 1, "star of {k}: {stats:?}");
+        assert_eq!(stats.air_end_resumed, 0, "star of {k}: {stats:?}");
+    }
+}
+
+/// A listener that appends its callbacks to a shared log; with
+/// `wake_on_frame`, receiving a frame asks for a wake at that very
+/// instant.
+#[derive(Debug)]
+struct LoggingListener {
+    log: Arc<Mutex<Vec<String>>>,
+    wake_on_frame: bool,
+    wake_due: bool,
+}
+
+impl MacNode for LoggingListener {
+    fn start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.set_timer(Seconds::new(0.5), 1);
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _: u32, _: u64) {
+        ctx.wake(Cause::CarrierSense);
+    }
+    fn on_frame(&mut self, ctx: &mut Ctx<'_>, _: &Frame) {
+        self.log
+            .lock()
+            .unwrap()
+            .push(format!("frame {}", ctx.me().index()));
+        self.wake_due = self.wake_on_frame;
+    }
+    fn next_activity(&mut self, ctx: &mut Ctx<'_>) -> Option<SimTime> {
+        self.wake_due.then(|| ctx.now())
+    }
+    fn on_wake(&mut self, ctx: &mut Ctx<'_>) {
+        self.log
+            .lock()
+            .unwrap()
+            .push(format!("wake {}", ctx.me().index()));
+        self.wake_due = false;
+    }
+    fn on_tx_done(&mut self, _: &mut Ctx<'_>) {}
+    fn on_generate(&mut self, _: &mut Ctx<'_>, _: Packet) {}
+    fn on_radio_ready(&mut self, _: &mut Ctx<'_>) {}
+}
+
+#[test]
+fn a_same_instant_wake_fires_between_receivers_of_one_frame() {
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let report = build(&star(3), |id, _| match id.index() {
+        0 => Box::new(Talker {
+            tx_at: Seconds::new(1.0),
+            dst: NodeId::new(1),
+        }),
+        i => Box::new(LoggingListener {
+            log: Arc::clone(&log),
+            wake_on_frame: i == 1,
+            wake_due: false,
+        }),
+    })
+    .run();
+    let order = log.lock().unwrap().clone();
+    assert_eq!(order, ["frame 1", "wake 1", "frame 2", "frame 3"]);
+    // The wake split the frame's receiver walk once.
+    let stats = report.engine_stats();
+    assert_eq!(stats.air_end_resumed, 1, "{stats:?}");
+    assert_eq!(stats.air_end, 2, "{stats:?}");
+    assert_eq!(stats.wakes, 1, "{stats:?}");
 }

@@ -7,9 +7,12 @@
 //! * **LMAC** (TDMA): no preamble strobes, so the event rate is set by
 //!   slot wakes and actual frames. This is the cell that must beat
 //!   real time, on any machine.
-//! * **X-MAC** (LPL): every hop is a strobe train fanned out to every
-//!   neighbor (~25M air events per 10 simulated seconds at this
-//!   density); its wall time is printed for the record, not asserted.
+//! * **X-MAC** (LPL): every hop is a strobe train heard by every
+//!   neighbor; its wall time is printed for the record, not asserted.
+//!
+//! Each cell also prints the engine's counts (queue entries popped per
+//! event kind, wakes fired), so the share of air events in the load is
+//! a printed number rather than an estimate.
 //!
 //! The workload is an hourly-telemetry deployment (3600 s sample
 //! period, 500 ms LPL / 20 ms slots), a realistic operating point for
@@ -19,7 +22,7 @@
 
 use edmac_net::Topology;
 use edmac_radio::{FrameSizes, Radio};
-use edmac_sim::{LmacSim, SimConfig, SimProtocol, Simulation, WakeMode, XmacSim};
+use edmac_sim::{LmacSim, SimConfig, SimProtocol, SimReport, Simulation, WakeMode, XmacSim};
 use edmac_units::Seconds;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -76,12 +79,13 @@ fn hundred_thousand_node_disk_outpaces_real_time() {
         frame_slots: 128,
     };
     let t = Instant::now();
-    let _ = build(&lmac).run();
+    let report = build(&lmac).run();
     let lmac_wall = t.elapsed();
     eprintln!(
         "lmac sequential: {lmac_wall:.2?} for {HORIZON_S}s simulated ({:.1}x real time)",
         HORIZON_S / lmac_wall.as_secs_f64()
     );
+    print_engine_stats("lmac", &report);
     if release {
         assert!(
             lmac_wall < real_time,
@@ -97,5 +101,26 @@ fn hundred_thousand_node_disk_outpaces_real_time() {
         "xmac sequential: {:.2?} for {HORIZON_S}s simulated, {} packets delivered",
         t.elapsed(),
         report.delivered_count()
+    );
+    print_engine_stats("xmac", &report);
+}
+
+/// Prints one cell's event-loop work: entries popped per kind, their
+/// total, the air events' share of it, and wakes fired.
+fn print_engine_stats(cell: &str, report: &SimReport) {
+    let s = report.engine_stats();
+    let events = s.events();
+    let air = s.air_start + s.air_end;
+    eprintln!(
+        "{cell} engine: {events} queue entries (generate {}, timer {}, radio_ready {}, \
+         air_start {}, air_end {}, tx_done {}; air {:.1}%), {} wakes",
+        s.generate,
+        s.timer,
+        s.radio_ready,
+        s.air_start,
+        s.air_end,
+        s.tx_done,
+        100.0 * air as f64 / events.max(1) as f64,
+        s.wakes
     );
 }
