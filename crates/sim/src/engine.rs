@@ -4,15 +4,17 @@
 //! # Execution
 //!
 //! The engine is a read-only [`Shared`] world plus one [`RunState`]:
-//! an arena of per-node state indexed by [`NodeId::index`], a
-//! calendar-queue event scheduler and a calendar-queue wake schedule,
-//! driven by one sequential loop. Every piece of mutable run state —
-//! RNG stream, timer ids, transmit sequence numbers, packet ids, event
-//! sequence numbers, packet records — is per-node, and every queue
-//! tie-break is on the global `(time, round, node, sequence)` key
-//! ([`crate::OrderKey`]), so a node's evolution is a function of the
-//! seed, its own index and the events it receives — never of a
-//! run-global counter.
+//! an arena of per-node state indexed by [`NodeId::index`], an event
+//! scheduler and a wake schedule (each a binary-heap [`Queue`] with a
+//! payload slab), driven by one sequential loop. Every piece of
+//! mutable run state — RNG stream, timer ids, transmit sequence
+//! numbers, packet ids, event sequence numbers, packet records — is
+//! per-node, and every queue tie-break is on the global `(time, round,
+//! node, sequence)` key ([`crate::OrderKey`]), so a node's evolution
+//! is a function of the seed, its own index and the events it
+//! receives — never of a run-global counter. Both queues hold only
+//! entries due by the horizon, and every build asserts that pops never
+//! go back in order.
 //!
 //! # One decode path
 //!
@@ -38,7 +40,7 @@ use crate::events::Event;
 use crate::frame::{Frame, FrameKind, Packet, PacketId};
 use crate::protocol::SimProtocol;
 pub use crate::protocols::MacNode;
-use crate::queue::{CalendarQueue, EventQueue, OrderKey};
+use crate::queue::{OrderKey, Queue};
 use crate::report::{EngineStats, NodeStats, PacketRecord, SimReport};
 use crate::time::SimTime;
 use edmac_net::{Graph, NetError, NodeId, RoutingTree, Topology};
@@ -47,7 +49,6 @@ use edmac_radio::{Cause, EnergyLedger, FrameSizes, Mode, Radio};
 use edmac_units::Seconds;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
 
 /// How the engine schedules protocol clock ticks.
 ///
@@ -273,7 +274,9 @@ struct NodeState {
     next_tx: u64,
     next_packet: u64,
     next_event_seq: u64,
-    cancelled_timers: HashSet<u64>,
+    /// Ids of pending timers that were cancelled. A node has at most
+    /// a couple at a time, so a linear scan beats hashing.
+    cancelled_timers: Vec<u64>,
     /// Records of packets *originating* here, in creation order: the
     /// `k`-th record carries the node's `k`-th packet id.
     records: Vec<PacketRecord>,
@@ -304,7 +307,7 @@ impl NodeState {
             next_tx: 0,
             next_packet: 0,
             next_event_seq: 0,
-            cancelled_timers: HashSet::new(),
+            cancelled_timers: Vec::new(),
             records: Vec::new(),
         }
     }
@@ -475,12 +478,12 @@ impl Shared {
 }
 
 /// The complete mutable state of a run: the node arena (indexed by
-/// [`NodeId::index`]), the event and wake calendars, and the clock.
+/// [`NodeId::index`]), the event and wake queues, and the clock.
 #[derive(Debug)]
 struct RunState {
     now: SimTime,
-    events: CalendarQueue<Event>,
-    wakes: CalendarQueue<()>,
+    events: Queue<Event>,
+    wakes: Queue<()>,
     nodes: Vec<NodeState>,
     machines: Vec<Box<dyn MacNode>>,
     stats: EngineStats,
@@ -532,6 +535,7 @@ impl RunState {
                 return Some(key);
             }
             self.wakes.pop();
+            self.stats.stale_wakes += 1;
         }
         None
     }
@@ -633,9 +637,10 @@ impl Ctx<'_> {
 
     /// Cancels a pending timer (firing becomes a no-op).
     pub fn cancel_timer(&mut self, id: u64) {
-        self.run.nodes[self.node.index()]
-            .cancelled_timers
-            .insert(id);
+        let cancelled = &mut self.run.nodes[self.node.index()].cancelled_timers;
+        if !cancelled.contains(&id) {
+            cancelled.push(id);
+        }
     }
 
     /// Uniform random sample in `[lo, hi)` from this node's seeded
@@ -919,7 +924,9 @@ fn dispatch(shared: &Shared, run: &mut RunState, key: OrderKey, event: Event) {
             });
         }
         Event::Timer { node, id, tag } => {
-            if run.nodes[node.index()].cancelled_timers.remove(&id) {
+            let cancelled = &mut run.nodes[node.index()].cancelled_timers;
+            if let Some(i) = cancelled.iter().position(|&c| c == id) {
+                cancelled.swap_remove(i);
                 return;
             }
             with_node(shared, run, node, round, |n, ctx| n.on_timer(ctx, tag, id));
@@ -993,12 +1000,13 @@ fn dispatch(shared: &Shared, run: &mut RunState, key: OrderKey, event: Event) {
 /// the per-node wake schedule: ties go to wakes (the dense scheduler's
 /// boundary timers always carried the earliest sequence numbers),
 /// simultaneous wakes fire in node order, and nothing past the horizon
-/// fires.
+/// fires: both queues drop such entries ([`Queue::until`]), so the loop
+/// runs until they are empty.
 ///
 /// Event pops never go back in [`OrderKey`] order (a resumed `AirEnd`
 /// walk pops under the key it was handed back with, so equal keys
-/// repeat) and wake pops never go back in time; debug builds assert
-/// both.
+/// repeat) and wake pops never go back in time; every build asserts
+/// both, at one key compare per pop.
 fn run_to_horizon(shared: &Shared, run: &mut RunState) {
     let mut last_event: Option<OrderKey> = None;
     let mut last_wake = SimTime::ZERO;
@@ -1013,11 +1021,8 @@ fn run_to_horizon(shared: &Shared, run: &mut RunState) {
         };
         if fire_wake {
             let key = wake.expect("chosen branch has a wake");
-            if key.at > shared.end {
-                break;
-            }
             run.wakes.pop();
-            debug_assert!(key.at >= last_wake, "wake popped back in time");
+            assert!(key.at >= last_wake, "wake popped back in time");
             last_wake = key.at;
             run.stats.wakes += 1;
             let node = NodeId::new(key.node as usize);
@@ -1029,11 +1034,8 @@ fn run_to_horizon(shared: &Shared, run: &mut RunState) {
             with_node(shared, run, node, 1, |n, ctx| n.on_wake(ctx));
         } else {
             let key = event.expect("chosen branch has an event");
-            if key.at > shared.end {
-                break;
-            }
             let (_, ev) = run.events.pop().expect("peeked event exists");
-            debug_assert!(
+            assert!(
                 last_event.is_none_or(|last| last <= key),
                 "event popped out of OrderKey order"
             );
@@ -1497,8 +1499,8 @@ impl Simulation {
             .collect();
         let mut run = RunState {
             now: SimTime::ZERO,
-            events: CalendarQueue::new(),
-            wakes: CalendarQueue::new(),
+            events: Queue::until(shared.end),
+            wakes: Queue::until(shared.end),
             nodes,
             machines,
             stats: EngineStats::default(),
@@ -1506,6 +1508,8 @@ impl Simulation {
         seed_and_start(&shared, &mut run);
         run_to_horizon(&shared, &mut run);
         finish(&shared, &mut run);
+        run.stats.peak_events = run.events.peak_len() as u64;
+        run.stats.peak_wakes = run.wakes.peak_len() as u64;
         (shared, run)
     }
 

@@ -1,23 +1,25 @@
 //! The simulation's event vocabulary.
 //!
-//! Scheduling itself lives in [`crate::queue`]: both the air-event
-//! scheduler and the wake schedule are [`CalendarQueue`]s keyed by
-//! [`OrderKey`]'s documented `(time, node order, sequence)` ordering,
-//! so there is exactly one tie-break rule in the engine.
+//! Scheduling itself lives in [`crate::queue`]: both the event
+//! scheduler and the wake schedule are a [`Queue`] keyed by
+//! [`OrderKey`]'s documented `(time, round, node, sequence)` ordering,
+//! so there is exactly one tie-break rule in the engine. An `Event` is
+//! the payload: it waits in the queue's slab, while the heap sifts only
+//! its key and slot index.
 //!
 //! A transmission is one queue entry per edge of the frame's life, not
 //! one per receiver: `AirStart` and `AirEnd` carry the frame, and the
 //! engine walks the sender's air receivers inline when it dispatches
 //! them.
 //!
-//! [`CalendarQueue`]: crate::queue::CalendarQueue
+//! [`Queue`]: crate::queue::Queue
 //! [`OrderKey`]: crate::queue::OrderKey
 
 use crate::frame::Frame;
 use edmac_net::NodeId;
 
 /// Everything that can happen in the simulation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Event {
     /// A node's application layer samples a new packet.
     Generate { node: NodeId },

@@ -70,6 +70,6 @@ pub use engine::{
 };
 pub use frame::{Frame, FrameCounters, FrameKind, Packet, PacketId};
 pub use protocol::{DmacSim, LmacSim, ScpSim, SimProtocol, XmacSim};
-pub use queue::{CalendarQueue, EventQueue, HeapQueue, OrderKey};
+pub use queue::OrderKey;
 pub use report::{DepthDelayStats, EngineStats, NodeStats, PacketRecord, SimReport};
 pub use time::SimTime;

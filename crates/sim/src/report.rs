@@ -76,7 +76,8 @@ pub struct DepthDelayStats {
 }
 
 /// What the engine's event loop did over one run: queue entries
-/// popped, by event kind, and wakes fired.
+/// popped, by event kind, wakes fired and skipped, and how deep each
+/// queue got.
 ///
 /// A transmission costs one `AirStart` and one `AirEnd` entry however
 /// many receivers it reaches; an `AirEnd` walk handed back to the queue
@@ -101,6 +102,16 @@ pub struct EngineStats {
     pub air_end_resumed: u64,
     /// Wakes fired through [`MacNode::on_wake`](crate::MacNode::on_wake).
     pub wakes: u64,
+    /// Wake entries skipped on pop because the node had superseded or
+    /// withdrawn them. Each wake entry the engine queues either fires
+    /// (`wakes`) or is skipped here; a wake requested for after the
+    /// horizon is never queued.
+    pub stale_wakes: u64,
+    /// The most event-queue entries pending at once.
+    pub peak_events: u64,
+    /// The most wake-queue entries (stale ones included) pending at
+    /// once.
+    pub peak_wakes: u64,
 }
 
 impl EngineStats {

@@ -363,3 +363,59 @@ fn a_same_instant_wake_fires_between_receivers_of_one_frame() {
     assert_eq!(stats.air_end, 2, "{stats:?}");
     assert_eq!(stats.wakes, 1, "{stats:?}");
 }
+
+/// A node that only steers its wake request with timers: it asks for
+/// a far wake at 4.8 s, moves it forward to 3.0 s at t = 1 s (the 4.8 s
+/// entry goes stale), asks for 4.5 s at t = 3.5 s and withdraws that
+/// at t = 4 s. That is three wake entries queued, one fired and two
+/// stale.
+#[derive(Debug, Default)]
+struct WakeSteerer {
+    want: Option<SimTime>,
+}
+
+impl MacNode for WakeSteerer {
+    fn start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.set_timer(Seconds::new(1.0), 1);
+        ctx.set_timer(Seconds::new(3.5), 2);
+        ctx.set_timer(Seconds::new(4.0), 3);
+        self.want = Some(SimTime::from_seconds(Seconds::new(4.8)));
+    }
+    fn on_timer(&mut self, _: &mut Ctx<'_>, tag: u32, _: u64) {
+        self.want = match tag {
+            1 => Some(SimTime::from_seconds(Seconds::new(3.0))),
+            2 => Some(SimTime::from_seconds(Seconds::new(4.5))),
+            _ => None,
+        };
+    }
+    fn next_activity(&mut self, _: &mut Ctx<'_>) -> Option<SimTime> {
+        self.want
+    }
+    fn on_wake(&mut self, _: &mut Ctx<'_>) {
+        self.want = None;
+    }
+    fn on_frame(&mut self, _: &mut Ctx<'_>, _: &Frame) {}
+    fn on_tx_done(&mut self, _: &mut Ctx<'_>) {}
+    fn on_generate(&mut self, _: &mut Ctx<'_>, _: Packet) {}
+    fn on_radio_ready(&mut self, _: &mut Ctx<'_>) {}
+}
+
+#[test]
+fn engine_stats_count_queue_peaks_and_stale_wakes() {
+    let report = build(&hidden_pair(), |_, _| Box::<WakeSteerer>::default()).run();
+    let stats = report.engine_stats();
+    // Three nodes, three wake entries each, all due before the horizon.
+    let pushed = 3 * 3;
+    assert_eq!(stats.wakes, 3, "{stats:?}");
+    assert_eq!(stats.stale_wakes, 6, "{stats:?}");
+    assert_eq!(stats.wakes + stats.stale_wakes, pushed, "{stats:?}");
+    // At t = 1 s every node's 4.8 s entry is still queued behind its
+    // 3.0 s one.
+    assert_eq!(stats.peak_wakes, 6, "{stats:?}");
+    // At start: three timers per node; nothing queued later
+    // outnumbers them. The two non-sink nodes' first traffic samples
+    // fall after the 5 s horizon, so they are never queued.
+    assert_eq!(stats.peak_events, 3 * 3, "{stats:?}");
+    assert_eq!(stats.timer, 9, "{stats:?}");
+    assert_eq!(stats.generate, 0, "{stats:?}");
+}

@@ -11,8 +11,9 @@
 //!   neighbor; its wall time is printed for the record, not asserted.
 //!
 //! Each cell also prints the engine's counts (queue entries popped per
-//! event kind, wakes fired), so the share of air events in the load is
-//! a printed number rather than an estimate.
+//! event kind, wakes fired and skipped as stale, peak queue depths), so
+//! the share of air events in the load is a printed number rather than
+//! an estimate.
 //!
 //! The workload is an hourly-telemetry deployment (3600 s sample
 //! period, 500 ms LPL / 20 ms slots), a realistic operating point for
@@ -106,14 +107,16 @@ fn hundred_thousand_node_disk_outpaces_real_time() {
 }
 
 /// Prints one cell's event-loop work: entries popped per kind, their
-/// total, the air events' share of it, and wakes fired.
+/// total, the air events' share of it, wakes fired and skipped as
+/// stale, and each queue's peak occupancy.
 fn print_engine_stats(cell: &str, report: &SimReport) {
     let s = report.engine_stats();
     let events = s.events();
     let air = s.air_start + s.air_end;
     eprintln!(
         "{cell} engine: {events} queue entries (generate {}, timer {}, radio_ready {}, \
-         air_start {}, air_end {}, tx_done {}; air {:.1}%), {} wakes",
+         air_start {}, air_end {}, tx_done {}; air {:.1}%), {} wakes, \
+         {} stale wakes ({:.2}%), peak {} events / {} wakes pending",
         s.generate,
         s.timer,
         s.radio_ready,
@@ -121,6 +124,10 @@ fn print_engine_stats(cell: &str, report: &SimReport) {
         s.air_end,
         s.tx_done,
         100.0 * air as f64 / events.max(1) as f64,
-        s.wakes
+        s.wakes,
+        s.stale_wakes,
+        100.0 * s.stale_wakes as f64 / (s.wakes + s.stale_wakes).max(1) as f64,
+        s.peak_events,
+        s.peak_wakes
     );
 }
